@@ -21,12 +21,6 @@ pass.  ``QNLS_THREADS`` caps the linear-algebra thread pools.
 
 from __future__ import annotations
 
-import os
-
-if os.environ.get("QNLS_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(_var, os.environ["QNLS_THREADS"])
-
 import argparse
 import json
 import sys

@@ -7,7 +7,11 @@ part,
     d_t u_k = (i/alpha_k) f_k(u)                           [nonlinear]
 
 and is stepped with Strang composition: a half step of the nonlinear ODE by
-classical RK4, a full linear step, another nonlinear half step.  On
+classical RK4, a full linear step, another nonlinear half step.  The RK4
+stages are built in three stage buffers owned by the stepper (stage input,
+current slope, running slope sum) with in-place ufuncs, the couplings are
+written straight into the slope buffer, and only the result of a substep
+is a new array; the input of a substep is never written.  On
 Cartesian grids the linear step is the exact Fourier multiplier
 exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k); on radial grids it is a
 Crank-Nicolson solve on the banded finite-difference Laplacian
@@ -118,6 +122,7 @@ class Stepper:
         shape_ones = (1,) * len(grid.shape)
         self._ia = (1j / model.coeffs.alpha).reshape((model.l,) + shape_ones)
         self._lin_cache: dict[float, object] = {}
+        self._stages = np.empty((3, model.l) + grid.shape, dtype=complex)
 
     # -- linear substep ----------------------------------------------------
 
@@ -163,16 +168,30 @@ class Stepper:
 
     # -- nonlinear substep ---------------------------------------------------
 
-    def _rhs(self, comps: np.ndarray) -> np.ndarray:
-        return self._ia * self.model.eval_fk(comps)
+    def _rhs(self, comps: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """(i/alpha_k) f_k(comps), written into out."""
+        self.model.eval_fk(comps, out=out)
+        return np.multiply(out, self._ia, out=out)
 
     def nonlinear_half_step(self, comps: np.ndarray, dt: float) -> np.ndarray:
+        """comps + (h/6)(k1 + 2 k2 + 2 k3 + k4) with h = dt/2, as a new array.
+
+        The slopes are summed in that order as they come, so three stage
+        buffers suffice: y (stage input), k (current slope), acc (sum).
+        """
+        y, k, acc = self._stages
         h = 0.5 * dt
-        k1 = self._rhs(comps)
-        k2 = self._rhs(comps + 0.5 * h * k1)
-        k3 = self._rhs(comps + 0.5 * h * k2)
-        k4 = self._rhs(comps + h * k3)
-        return comps + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        self._rhs(comps, out=acc)                                  # k1
+        np.add(comps, np.multiply(acc, 0.5 * h, out=y), out=y)
+        self._rhs(y, out=k)                                        # k2
+        np.add(comps, np.multiply(k, 0.5 * h, out=y), out=y)
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+        self._rhs(y, out=k)                                        # k3
+        np.add(comps, np.multiply(k, h, out=y), out=y)
+        np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+        self._rhs(y, out=k)                                        # k4
+        np.add(acc, k, out=acc)
+        return np.add(comps, np.multiply(acc, h / 6.0, out=acc))
 
     def step(self, comps: np.ndarray, dt: float) -> np.ndarray:
         c = self.nonlinear_half_step(comps, dt)

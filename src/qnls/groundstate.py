@@ -84,14 +84,19 @@ def _linear_solver(model: ModelSpec, grid: GridSpec, b: np.ndarray):
     return solve
 
 
-def elliptic_residual(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray) -> float:
-    """Sup norm of -gamma_k Lap psi_k + b_k psi_k - f_k(psi)."""
+def _elliptic_sides(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray):
+    """(-gamma_k Lap psi_k + b_k psi_k, f_k(psi)) as complex fields."""
     shape_ones = (1,) * len(grid.shape)
     g = model.coeffs.gamma.reshape((model.l,) + shape_ones)
     bb = np.asarray(b).reshape((model.l,) + shape_ones)
     lap = grids.apply_laplacian(grid, psi.astype(complex))
-    res = -g * lap + bb * psi - model.eval_fk(psi.astype(complex))
-    return float(np.max(np.abs(res)))
+    return -g * lap + bb * psi, model.eval_fk(psi.astype(complex))
+
+
+def elliptic_residual(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray) -> float:
+    """Sup norm of -gamma_k Lap psi_k + b_k psi_k - f_k(psi)."""
+    lhs, f = _elliptic_sides(model, grid, psi, b)
+    return float(np.max(np.abs(lhs - f)))
 
 
 def _default_init(model: ModelSpec, grid: GridSpec, amplitudes) -> np.ndarray:
@@ -125,9 +130,6 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
     b = model.coeffs.b(omega)
     solve = _linear_solver(model, grid, b)
     w = grids.quadrature_weights(grid)
-    shape_ones = (1,) * len(grid.shape)
-    gam = model.coeffs.gamma.reshape((model.l,) + shape_ones)
-    bb = b.reshape((model.l,) + shape_ones)
 
     tilts = [np.ones(model.l),
              1.0 + 0.5 * np.arange(model.l),
@@ -139,26 +141,29 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
         if np.max(np.abs(psi)) == 0:
             raise ValueError("initial guess must not vanish identically")
         try:
-            return _petviashvili_iterate(model, grid, psi, b, solve, w, gam, bb,
-                                         omega, tol, max_iter, damping)
+            return _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol,
+                                         max_iter, damping)
         except ConvergenceError as exc:
             last_exc = exc
     raise ConvergenceError(f"fixed-point iteration failed after restarts: {last_exc}")
 
 
-def _petviashvili_iterate(model, grid, psi, b, solve, w, gam, bb, omega, tol,
-                          max_iter, damping):
+def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
+                          damping):
+    """The fixed-point loop.  The two sides of the stationary system are
+    computed once per iterate: the residual test of one iteration and the
+    update of the next share them."""
     def quad(x):
         return float(np.sum(w * x))
 
     # rescale so the first stabilization factor is 1: S(c psi) = S(psi)/c
-    f = np.real(model.eval_fk(psi.astype(complex)))
-    lin = np.real(-gam * grids.apply_laplacian(grid, psi.astype(complex)) + bb * psi)
-    A = quad(np.sum(lin * psi, axis=0))
-    B = quad(np.sum(f * psi, axis=0))
+    lhs, fk = _elliptic_sides(model, grid, psi, b)
+    A = quad(np.sum(np.real(lhs) * psi, axis=0))
+    B = quad(np.sum(np.real(fk) * psi, axis=0))
     if B <= 0:
         raise ConvergenceError("interaction pairing non-positive on the initial guess")
     psi = (A / B) * psi
+    lhs, fk = _elliptic_sides(model, grid, psi, b)
 
     # roundoff floor of the residual: dominated by the origin row of the
     # difference operator, eps * (2n/h^2) * gamma * |psi|
@@ -168,9 +173,8 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, gam, bb, omega, tol,
     S = np.inf
     best_res, best_psi, best_iter, since_best = np.inf, None, 0, 0
     for iteration in range(1, max_iter + 1):
-        f = np.real(model.eval_fk(psi.astype(complex)))
-        lin = np.real(-gam * grids.apply_laplacian(grid, psi.astype(complex)) + bb * psi)
-        A = quad(np.sum(lin * psi, axis=0))
+        f = np.real(fk)
+        A = quad(np.sum(np.real(lhs) * psi, axis=0))
         B = quad(np.sum(f * psi, axis=0))
         if not np.isfinite(B) or B <= 0:
             raise ConvergenceError(f"interaction pairing degenerated at iteration {iteration}")
@@ -178,7 +182,10 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, gam, bb, omega, tol,
         if not 1e-6 < S < 1e6:
             raise ConvergenceError(f"stabilization factor diverged: S={S:.3e}")
         psi = np.maximum((1.0 - damping) * psi + damping * S**2 * solve(f), 0.0)
-        res = elliptic_residual(model, grid, psi, b)
+        # drop the old iterate's fields before the new ones are allocated
+        f = lhs = fk = None
+        lhs, fk = _elliptic_sides(model, grid, psi, b)
+        res = float(np.max(np.abs(lhs - fk)))
         if res < tol and abs(S - 1.0) < tol:
             return _finalize(model, grid, omega, psi, res, iteration)
         if res < best_res:

@@ -7,7 +7,7 @@ from qnls.evolve import (DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
                          radial_step, run_with_monitors, split_step, standing_wave,
                          standing_wave_with_rate, virial_check)
 from qnls.grids import FieldState, GridSpec, norm_sq
-from qnls.groundstate import petviashvili_solve
+from qnls.groundstate import elliptic_residual, petviashvili_solve
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, TrilinearPotential,
                                builtin_model)
 
@@ -110,8 +110,35 @@ class TestNonlinearSubstep:
         assert drifts[0.1] / drifts[0.05] == pytest.approx(32.0, rel=0.4)
         assert drifts[0.05] < 1e-6
 
+    @pytest.mark.parametrize("kind,dim,points", [("cartesian", 2, 16), ("radial", 5, 64)])
+    def test_substeps_leave_input_alone(self, kind, dim, points):
+        # the adaptive loop retries from the same input after a rejected
+        # step, and callers keep every returned array
+        m = builtin_model("shg3")
+        g = GridSpec(kind, dim, points, 6.0)
+        rng = np.random.default_rng(5)
+        comps = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(size=(3,) + g.shape)
+        keep = comps.copy()
+        stepper = Stepper(m, g)
+        for substep in (stepper.step, stepper.nonlinear_half_step):
+            first = substep(comps, 1e-2)
+            first_copy = first.copy()
+            second = substep(comps, 1e-2)
+            assert np.array_equal(comps, keep)
+            assert not np.shares_memory(first, comps)
+            assert not np.shares_memory(first, second)
+            assert np.array_equal(first, first_copy)
+            assert np.array_equal(first, second)
+
 
 class TestStandingWave:
+    def test_solver_residual_is_profile_residual(self, gs_shg3_cart):
+        radial = petviashvili_solve(builtin_model("cascade3"), 1.0,
+                                    GridSpec("radial", 3, 128, 12.0))
+        for gs in (gs_shg3_cart, radial):
+            b = gs.model.coeffs.b(gs.omega)
+            assert gs.residual == elliptic_residual(gs.model, gs.grid, gs.profile, b)
+
     def test_t0_identity(self, gs_shg3_cart):
         st = standing_wave(gs_shg3_cart.state, 1.0, 0.0)
         assert np.array_equal(st.components, gs_shg3_cart.state.components)

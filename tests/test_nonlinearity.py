@@ -147,6 +147,121 @@ class TestPotentialEval:
             m.eval_fk(np.ones(4, dtype=complex))
 
 
+# F and f_k of each model written out by hand, as functions of one point
+# z = (z1, ..., zl) of Python complex numbers; cj is the complex conjugate.
+def cj(w):
+    return w.conjugate()
+
+
+def shg3_ref(chi):
+    def F(z1, z2, z3):
+        return 0.5 * cj(z1) * (chi * z2 * z2 + z3 * z3)
+
+    def f(z1, z2, z3):
+        return [0.5 * (chi * z2 * z2 + z3 * z3), chi * z1 * cj(z2), z1 * cj(z3)]
+
+    return F, f
+
+
+def cascade3_ref(chi):
+    def F(z1, z2, z3):
+        return 0.5 * z1 * z1 * cj(z2) + chi * z1 * z2 * cj(z3)
+
+    def f(z1, z2, z3):
+        return [cj(z1) * z2 + chi * cj(z2) * z3, 0.5 * z1 * z1 + chi * cj(z1) * z3,
+                chi * z1 * z2]
+
+    return F, f
+
+
+def uv2_ref():
+    def F(z1, z2):
+        return cj(z1) * cj(z1) * z2
+
+    def f(z1, z2):
+        return [2.0 * cj(z1) * z2, z1 * z1]
+
+    return F, f
+
+
+# a file model with complex coefficients and a cube:
+# F = a z1^3 + b z1 conj(z1) conj(z2) + c z2 conj(z2)^2
+FILE_A, FILE_B, FILE_C = 0.3 - 0.7j, 1.1 + 0.2j, -0.4 + 0.9j
+FILE_MODEL = ["l=2", "alpha=1.0,2.0", "gamma=1.0,0.5", "beta=0.0,0.25",
+              f"term={FILE_A.real!r},{FILE_A.imag!r};p=3,0;q=0,0",
+              f"term={FILE_B.real!r},{FILE_B.imag!r};p=1,0;q=1,1",
+              f"term={FILE_C.real!r},{FILE_C.imag!r};p=0,1;q=0,2"]
+
+
+def file_ref():
+    a, b, c = FILE_A, FILE_B, FILE_C
+
+    def F(z1, z2):
+        return a * z1 ** 3 + b * z1 * cj(z1) * cj(z2) + c * z2 * cj(z2) ** 2
+
+    def f(z1, z2):
+        return [b * z1 * cj(z2) + 3.0 * cj(a) * cj(z1) ** 2 + cj(b) * z1 * z2,
+                b * z1 * cj(z1) + 2.0 * c * z2 * cj(z2) + cj(c) * z2 * z2]
+
+    return F, f
+
+
+class TestCompiledPlans:
+    """eval_F / eval_fk against per-point scalar evaluation, rel. tol 1e-14."""
+
+    @staticmethod
+    def cases(tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(FILE_MODEL) + "\n")
+        return [(builtin_model("shg3"), shg3_ref(1.0)),
+                (builtin_model("shg3", chi=0.7), shg3_ref(0.7)),
+                (builtin_model("cascade3", chi=1.3), cascade3_ref(1.3)),
+                (builtin_model("uv2", kappa=0.5), uv2_ref()),
+                (builtin_model("uv2", kappa=1.0), uv2_ref()),
+                (read_model_file(path), file_ref())]
+
+    @staticmethod
+    def assert_close(got, ref):
+        got, ref = np.asarray(got), np.asarray(ref)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_vectors(self, tmp_path):
+        rng = np.random.default_rng(11)
+        for m, (F, f) in self.cases(tmp_path):
+            for _ in range(5):
+                z = rng.normal(size=m.l) + 1j * rng.normal(size=m.l)
+                pt = [complex(v) for v in z]
+                self.assert_close(m.eval_F(z), F(*pt))
+                self.assert_close(m.eval_fk(z), f(*pt))
+
+    def test_fields(self, tmp_path):
+        rng = np.random.default_rng(12)
+        N = 6
+        for m, (F, f) in self.cases(tmp_path):
+            z = rng.normal(size=(m.l, N, N)) + 1j * rng.normal(size=(m.l, N, N))
+            F_ref = np.empty((N, N), dtype=complex)
+            f_ref = np.empty((m.l, N, N), dtype=complex)
+            for i in range(N):
+                for j in range(N):
+                    pt = [complex(v) for v in z[:, i, j]]
+                    F_ref[i, j] = F(*pt)
+                    f_ref[:, i, j] = f(*pt)
+            self.assert_close(m.eval_F(z), F_ref)
+            self.assert_close(m.eval_fk(z), f_ref)
+            out = np.full((m.l, N, N), np.nan, dtype=complex)
+            assert m.eval_fk(z, out=out) is out
+            self.assert_close(out, f_ref)
+
+    def test_input_untouched(self):
+        m = builtin_model("cascade3")
+        z = np.random.default_rng(13).normal(size=(3, 8)) + 0j
+        keep = z.copy()
+        m.eval_fk(z)
+        m.eval_F(z)
+        assert np.array_equal(z, keep)
+
+
 class TestIdentities:
     @pytest.mark.parametrize("name", ["shg3", "cascade3", "uv2"])
     def test_mass_balance(self, name):
