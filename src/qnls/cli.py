@@ -16,7 +16,10 @@ Configuration is a flat ``key = value`` text file with ``[model] [grid]
 values.  Every scenario writes ``report.txt`` (human-readable) and
 ``report.json`` (one record per criterion: name, measured, expected,
 tolerance, pass) into the output directory and exits 0 iff all criteria
-pass.  ``QNLS_THREADS`` caps the linear-algebra thread pools.
+pass.  Scenarios that run a monitored evolution also record its outcome
+under ``"run"``: status, the monitor that fired, accepted and rejected
+steps, the final dt and the detection time.  ``QNLS_THREADS`` caps the
+linear-algebra thread pools.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ class ExperimentReport:
     criteria: list[Criterion] = field(default_factory=list)
     settings: dict = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
+    run: dict | None = None  # EvolutionOutcome.as_json() of the scenario's monitored run
 
     def check(self, name, measured, expected, tolerance, provenance="",
               compare="abs") -> bool:
@@ -103,6 +107,8 @@ class ExperimentReport:
                    "settings": {k: repr(v) for k, v in self.settings.items()},
                    "criteria": [c.as_json() for c in self.criteria],
                    "artifacts": self.artifacts}
+        if self.run is not None:
+            payload["run"] = self.run
         (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -261,6 +267,7 @@ def cmd_evolve(st: Settings) -> ExperimentReport:
     state = _gaussian_state(model, grid, 1.0 / (1.0 + np.arange(model.l)))
     cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
     out = run_with_monitors(state, cfg)
+    rep.run = out.as_json()
     rep.check("status completed", float(out.status == "completed"), 1.0, 0.0, compare="true")
     rep.check("charge drift", out.diagnostics.max_relative_drift("Q"), 0.0, 1e-8,
               compare="le", provenance="relative, over the run")
@@ -282,6 +289,7 @@ def cmd_virial(st: Settings) -> ExperimentReport:
     E0 = fn.energy(state)
     cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
     out = run_with_monitors(state, cfg)
+    rep.run = out.as_json()
     rep.check("variance-identity deviation", virial_check(out, E0), 0.0, 1e-3,
               compare="le", provenance="second difference of V vs 2nE0-2nL+2(4-n)K")
     forms_gap = abs(fn.virial_rhs(state, E0) - fn.virial_rhs_gradient_form(state))
@@ -341,6 +349,7 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
                            blowup_K_factor=10.0, blowup_linf=1e4, adaptive=True,
                            dt_min=1e-7, step_drift_tol=1e-6)
         out = run_with_monitors(data, cfg, with_variance=False)
+        rep.run = out.as_json()
         expected_status = "blown_up" if st.amplitude > 1 else "completed"
         rep.check(f"run status {expected_status}",
                   float(out.status == expected_status), 1.0, 0.0, compare="true")
@@ -366,6 +375,7 @@ def cmd_stability(st: Settings) -> ExperimentReport:
         data = FieldState(gs.model, gs.grid, gs.profile + pert, 0.0)
         cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
         out = run_with_monitors(data, cfg, with_variance=False)
+        rep.run = out.as_json()
         dist = modulated_distance(out.final, gs.state)
         rep.check("modulated distance stays small", dist, 0.0, 10 * st.eps, compare="le",
                   provenance="relative L2, modulo translation and coupled phase")
@@ -395,6 +405,7 @@ def cmd_stability(st: Settings) -> ExperimentReport:
                            blowup_K_factor=10.0, blowup_linf=1e4, adaptive=True,
                            dt_min=1e-7, step_drift_tol=1e-6)
         out = run_with_monitors(data, cfg, with_variance=False)
+        rep.run = out.as_json()
         rep.check("dilated datum blows up", float(out.status == "blown_up"), 1.0, 0.0,
                   compare="true")
     return rep

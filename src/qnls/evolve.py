@@ -14,9 +14,16 @@ written straight into the slope buffer, and only the result of a substep
 is a new array; the input of a substep is never written.  On
 Cartesian grids the linear step is the exact Fourier multiplier
 exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k); on radial grids it is a
-Crank-Nicolson solve on the banded finite-difference Laplacian
-(unconditionally stable, second order).  Either way the scheme is globally
-second order in dt.
+Crank-Nicolson step on the tridiagonal finite-difference Laplacian A_h
+(unconditionally stable, second order).  With c_k = i dt/(2 alpha_k) it
+solves
+
+    ((1 + c_k beta_k) I - c_k gamma_k A_h) u_k' = (1 - c_k beta_k) u_k + c_k gamma_k A_h u_k,
+
+building the right-hand side by a three-band product with the real bands
+of A_h and solving with LU factors of the left-hand matrices that are
+computed once per step size and kept per dt; only the factors are stored.
+Either way the scheme is globally second order in dt.
 
 The nonlinear substep leaves the pointwise weighted density
 sum_k (alpha_k^2/gamma_k) |u_k|^2 invariant whenever the couplings satisfy
@@ -27,7 +34,10 @@ on radial grids, the mild non-normality of the difference operator.
 Blow-up is detected through the norm-divergence alternative: the run is
 flagged once the kinetic functional exceeds a configured multiple of its
 initial value, a sup norm passes a cap, or adaptive halving drives dt below
-its floor.  Non-finite values abort the run.
+its floor.  Non-finite values abort the run.  Full functional snapshots are
+taken only at sample times; in adaptive mode the steps between samples
+check just the charge (already computed by the step-size controller), the
+kinetic functional and the sup norm.
 """
 
 from __future__ import annotations
@@ -35,10 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import grids
-from .functionals import FunctionalSnapshot, snapshot_of
+from .functionals import FunctionalSnapshot, charge, kinetic, snapshot_of
 from .grids import FieldState, GridSpec
 
 COMPLETED = "completed"
@@ -100,17 +109,27 @@ class DiagnosticsSeries:
 
 @dataclass
 class EvolutionOutcome:
+    """Result of a monitored run.
+
+    monitor names the check that ended the run: "kinetic" (K passed its
+    multiple of K(0)), "linf" (a sup norm passed its cap), "dt_floor"
+    (adaptive halving went below dt_min), "nonfinite" (aborted), or None
+    when the run reached t_end.  rejected counts adaptive step attempts
+    discarded by the charge-drift controller; steps counts accepted ones.
+    """
+
     status: str
     final: FieldState
     diagnostics: DiagnosticsSeries
     t_detect: float | None = None
     steps: int = 0
     dt_final: float = field(default=float("nan"))
+    monitor: str | None = None
+    rejected: int = 0
 
-
-def _charge_of(model, grid, comps) -> float:
-    w = model.coeffs.alpha**2 / model.coeffs.gamma
-    return float(sum(wk * grids.norm_sq(grid, comps[k]) for k, wk in enumerate(w)))
+    def as_json(self) -> dict:
+        return {"status": self.status, "monitor": self.monitor, "t_detect": self.t_detect,
+                "steps": self.steps, "rejected": self.rejected, "dt_final": self.dt_final}
 
 
 class Stepper:
@@ -121,6 +140,7 @@ class Stepper:
         self.grid = grid
         shape_ones = (1,) * len(grid.shape)
         self._ia = (1j / model.coeffs.alpha).reshape((model.l,) + shape_ones)
+        # per dt: Fourier phases (Cartesian) or the factored solver (radial)
         self._lin_cache: dict[float, object] = {}
         self._stages = np.empty((3, model.l) + grid.shape, dtype=complex)
 
@@ -139,14 +159,9 @@ class Stepper:
                 for k in range(model.l)])
             data = phases
         else:
-            lap = grids.radial_laplacian_banded(grid)
-            mats = []
-            for k in range(model.l):
-                c = 1j * dt / (2.0 * model.coeffs.alpha[k])
-                minus = -c * model.coeffs.gamma[k] * lap.astype(complex)
-                minus[1, :] += 1.0 + c * model.coeffs.beta[k]
-                mats.append(minus)
-            data = mats
+            c = 1j * dt / (2.0 * model.coeffs.alpha)
+            data = grids.radial_shifted_solver(grid, 1.0 + c * model.coeffs.beta,
+                                               c * model.coeffs.gamma)
         self._lin_cache[dt] = data
         return data
 
@@ -156,15 +171,15 @@ class Stepper:
             phases = self._linear_data(dt)
             axes = tuple(range(-grid.n, 0))
             return np.fft.ifftn(phases * np.fft.fftn(comps, axes=axes), axes=axes)
-        mats = self._linear_data(dt)
-        out = np.empty_like(comps)
-        lap = grids.apply_laplacian(grid, comps)
-        for k in range(model.l):
-            c = 1j * dt / (2.0 * model.coeffs.alpha[k])
-            rhs = comps[k] + c * (model.coeffs.gamma[k] * lap[k]
-                                  - model.coeffs.beta[k] * comps[k])
-            out[k] = solve_banded((1, 1), mats[k], rhs)
-        return out
+        solve = self._linear_data(dt)
+        ab = grids.radial_laplacian_banded(grid)
+        # A_h u from the three real bands, for all components at once
+        lap = ab[1] * comps
+        lap[:, :-1] += ab[0, 1:] * comps[:, 1:]
+        lap[:, 1:] += ab[2, :-1] * comps[:, :-1]
+        c = (1j * dt / (2.0 * model.coeffs.alpha))[:, None]
+        g, b = model.coeffs.gamma[:, None], model.coeffs.beta[:, None]
+        return solve(comps + c * (g * lap - b * comps))
 
     # -- nonlinear substep ---------------------------------------------------
 
@@ -207,7 +222,9 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     configured tolerance (the quadratic coupling stiffens as amplitudes
     grow) and doubles it back after a stretch of clean steps; dt dropping
     below dt_min counts as blow-up, as do the kinetic and sup-norm caps,
-    which in adaptive mode are checked every step.
+    which in adaptive mode are checked every step.  A full snapshot is taken
+    only at sample times (every sample_every steps and at t_end), so the
+    outcome does not depend on sample_every beyond the diagnostics kept.
     """
     stepper = Stepper(state.model, state.grid)
     comps = np.array(state.components)
@@ -217,26 +234,27 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     diag = DiagnosticsSeries([snapshot_of(state, with_variance=with_variance)])
     K0 = max(diag[0].K, np.finfo(float).tiny)
     q_prev = diag[0].Q
-    status, t_detect = COMPLETED, None
-    steps = 0
-    clean_steps = 0
+    status, t_detect, monitor = COMPLETED, None, None
+    steps = rejected = clean_steps = 0
     eps_end = 1e-12 * max(1.0, abs(t_end))
     while t < t_end - eps_end:
         dt_eff = min(dt, t_end - t)
         new = stepper.step(comps, dt_eff)
         if config.adaptive:
             while True:
-                q_new = _charge_of(state.model, state.grid, new)
+                trial = state.with_components(new, t + dt_eff)
+                q_new = charge(trial)
                 drift = abs(q_new - q_prev) / max(abs(q_prev), np.finfo(float).tiny)
                 if drift <= config.step_drift_tol or not np.isfinite(drift):
                     break
+                rejected += 1
                 dt = dt_eff = dt_eff / 2.0
                 clean_steps = 0
                 if dt_eff < config.dt_min:
                     break
                 new = stepper.step(comps, dt_eff)
             if dt_eff < config.dt_min:
-                status, t_detect = BLOWN_UP, t
+                status, t_detect, monitor = BLOWN_UP, t, "dt_floor"
                 break
             q_prev = q_new
             clean_steps += 1
@@ -246,28 +264,36 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
             # blow-up is fast once started: watch the cheap monitors per step
             amp = float(np.max(np.abs(new)))
             if not np.isfinite(amp):
-                status, t_detect = ABORTED, t
+                status, t_detect, monitor = ABORTED, t, "nonfinite"
                 break
             if amp > config.blowup_linf:
                 comps, t = new, t + dt_eff
-                status, t_detect = BLOWN_UP, t
+                status, t_detect, monitor = BLOWN_UP, t, "linf"
                 break
         comps = new
         t += dt_eff
         steps += 1
-        if steps % config.sample_every == 0 or t >= t_end - eps_end or config.adaptive:
+        if steps % config.sample_every == 0 or t >= t_end - eps_end:
             snap = snapshot_of(state.with_components(comps, t), with_variance=with_variance)
-            if steps % config.sample_every == 0 or t >= t_end - eps_end:
-                diag.append(snap)
-            if not all(np.isfinite([snap.Q, snap.K, *snap.linf])):
-                status, t_detect = ABORTED, t
-                break
-            if snap.K > config.blowup_K_factor * K0 or max(snap.linf) > config.blowup_linf:
-                status, t_detect = BLOWN_UP, t
-                break
+            diag.append(snap)
+            Q, K, linf = snap.Q, snap.K, snap.linf
+        elif config.adaptive:
+            Q, K, linf = q_new, kinetic(trial), (amp,)
+        else:
+            continue
+        if not all(np.isfinite([Q, K, *linf])):
+            status, t_detect, monitor = ABORTED, t, "nonfinite"
+            break
+        if K > config.blowup_K_factor * K0:
+            status, t_detect, monitor = BLOWN_UP, t, "kinetic"
+            break
+        if max(linf) > config.blowup_linf:
+            status, t_detect, monitor = BLOWN_UP, t, "linf"
+            break
     final = state.with_components(comps, t)
     return EvolutionOutcome(status=status, final=final, diagnostics=diag,
-                            t_detect=t_detect, steps=steps, dt_final=dt)
+                            t_detect=t_detect, steps=steps, dt_final=dt,
+                            monitor=monitor, rejected=rejected)
 
 
 def split_step(state: FieldState, config: EvolveConfig, **kw) -> EvolutionOutcome:

@@ -38,20 +38,20 @@ BOUNDARY_MASS_WARN = 1e-6
 
 def charge(state: FieldState) -> float:
     w = state.model.coeffs.alpha**2 / state.model.coeffs.gamma
-    return float(sum(wk * grids.norm_sq(state.grid, state.components[k])
-                     for k, wk in enumerate(w)))
+    return grids.weighted_norm_sq(state.grid, w, state.components)
 
 
 def kinetic(state: FieldState) -> float:
     g = state.model.coeffs.gamma
+    if state.grid.kind == grids.RADIAL:
+        return grids.weighted_norm_sq(state.grid, g,
+                                      grids.radial_derivative(state.grid, state.components))
     return float(sum(g[k] * grids.grad_sq_integral(state.grid, state.components[k])
                      for k in range(state.l)))
 
 
 def linear_term(state: FieldState) -> float:
-    b = state.model.coeffs.beta
-    return float(sum(b[k] * grids.norm_sq(state.grid, state.components[k])
-                     for k in range(state.l)))
+    return grids.weighted_norm_sq(state.grid, state.model.coeffs.beta, state.components)
 
 
 def interaction(state: FieldState) -> float:
@@ -65,9 +65,7 @@ def energy(state: FieldState) -> float:
 
 def weighted_mass(state: FieldState, omega: float) -> float:
     """Qcal at frequency omega: sum_k b_k ||u_k||^2."""
-    b = state.model.coeffs.b(omega)
-    return float(sum(b[k] * grids.norm_sq(state.grid, state.components[k])
-                     for k in range(state.l)))
+    return grids.weighted_norm_sq(state.grid, state.model.coeffs.b(omega), state.components)
 
 
 def action(state: FieldState, omega: float) -> float:

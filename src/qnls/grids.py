@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.linalg import LinAlgError
+from scipy.linalg import get_lapack_funcs
 
 from .nonlinearity import ModelSpec
 
@@ -138,7 +140,13 @@ def quadrature_weights(grid: GridSpec) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
-    """The radial Laplacian as a (3, N) banded matrix (solve_banded layout)."""
+    """The radial Laplacian as a real (3, N) banded matrix.
+
+    Row 0 holds the superdiagonal a[i-1, i] at column i, row 1 the diagonal
+    and row 2 the subdiagonal a[i+1, i] at column i (the LAPACK band
+    layout).  The tridiagonal solves of :func:`radial_shifted_solver` and
+    the Crank-Nicolson right-hand side read their bands from here.
+    """
     if grid.kind != RADIAL:
         raise ValueError("banded Laplacian is only defined on radial grids")
     N, h, n = grid.N, grid.h, grid.n
@@ -154,6 +162,37 @@ def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
     ab[0, i[:-1] + 1] = upper[:-1]  # a[i, i+1]; the last row loses it (Dirichlet)
     ab[2, i - 1] = lower
     return ab
+
+
+def radial_shifted_solver(grid: GridSpec, shift, scale):
+    """Return solve(rhs) applying (shift_k I - scale_k Lap_h)^{-1} to
+    component k of a stack of radial fields.
+
+    Each of the tridiagonal matrices is factored once, here, by LAPACK's LU
+    with partial pivoting (?gttrf, real or complex as get_lapack_funcs picks
+    from the coefficients); solve only runs the triangular sweeps (?gttrs).
+    Only the factors are kept.  Raises LinAlgError when a matrix is singular.
+    """
+    ab = radial_laplacian_banded(grid)
+    factors = []
+    for s, c in zip(np.asarray(shift), np.asarray(scale)):
+        bands = (-c * ab[2, :-1], s - c * ab[1], -c * ab[0, 1:])
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
+        *lu, info = gttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+        if info != 0:
+            raise LinAlgError(f"radial matrix is singular ({gttrf.typecode}gttrf info={info})")
+        factors.append((gttrs, lu))
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        out = []
+        for (gttrs, lu), b in zip(factors, rhs):
+            x, info = gttrs(*lu, b)
+            if info != 0:
+                raise LinAlgError(f"{gttrs.typecode}gttrs failed (info={info})")
+            out.append(x)
+        return np.stack(out)
+
+    return solve
 
 
 def apply_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -201,6 +240,13 @@ def integrate(grid: GridSpec, values: np.ndarray) -> float:
 def norm_sq(grid: GridSpec, values: np.ndarray) -> float:
     """Quadrature of |f|^2."""
     return float(np.sum(quadrature_weights(grid) * np.abs(values) ** 2))
+
+
+def weighted_norm_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) -> float:
+    """sum_k weights_k ||f_k||^2 over a stack of fields f_k (leading axis k)."""
+    axes = tuple(range(1, values.ndim))
+    per_field = np.sum(quadrature_weights(grid) * np.abs(values) ** 2, axis=axes)
+    return float(np.sum(weights * per_field))
 
 
 def grad_sq_integral(grid: GridSpec, values: np.ndarray) -> float:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from . import functionals, grids
 from .grids import FieldState, GridSpec
@@ -71,17 +70,7 @@ def _linear_solver(model: ModelSpec, grid: GridSpec, b: np.ndarray):
             return np.real(np.fft.ifftn(np.fft.fftn(rhs, axes=axes) / denom, axes=axes))
 
         return solve
-    lap = grids.radial_laplacian_banded(grid)
-    mats = []
-    for k in range(model.l):
-        ab = -model.coeffs.gamma[k] * lap
-        ab[1, :] += b[k]
-        mats.append(ab)
-
-    def solve(rhs):
-        return np.stack([solve_banded((1, 1), mats[k], rhs[k]) for k in range(model.l)])
-
-    return solve
+    return grids.radial_shifted_solver(grid, b, model.coeffs.gamma)
 
 
 def _elliptic_sides(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray):
@@ -171,7 +160,7 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
         2.0 * grid.n / grid.h**2 * float(np.max(model.coeffs.gamma)) + float(np.max(b)))
 
     S = np.inf
-    best_res, best_psi, best_iter, since_best = np.inf, None, 0, 0
+    best_res, best_psi, since_best = np.inf, None, 0
     for iteration in range(1, max_iter + 1):
         f = np.real(fk)
         A = quad(np.sum(np.real(lhs) * psi, axis=0))
@@ -189,14 +178,15 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
         if res < tol and abs(S - 1.0) < tol:
             return _finalize(model, grid, omega, psi, res, iteration)
         if res < best_res:
-            best_res, best_psi, best_iter, since_best = res, psi, iteration, 0
+            best_res, best_psi, since_best = res, psi, 0
         else:
             since_best += 1
         # machine-converged: the residual sits on the roundoff floor of the
-        # operator application and no longer improves
+        # operator application and no longer improves; the best iterate is
+        # returned, with the count of iterations actually run
         floor = res_floor_coeff * max(1.0, float(np.max(np.abs(psi))))
         if since_best > 50 and abs(S - 1.0) < 1e-12 and best_res < max(floor, 1e-6):
-            return _finalize(model, grid, omega, best_psi, best_res, best_iter)
+            return _finalize(model, grid, omega, best_psi, best_res, iteration)
     raise ConvergenceError(
         f"no convergence in {max_iter} iterations (residual {res:.3e}, S-1 {S - 1:.3e})")
 
@@ -313,7 +303,7 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
     wc = w_charge.reshape((model.l,) + shape_ones)
 
     def charge_of(phi):
-        return float(sum(w_charge[k] * grids.norm_sq(grid, phi[k]) for k in range(model.l)))
+        return grids.weighted_norm_sq(grid, w_charge, phi)
 
     def functionals_of(phi):
         state = FieldState(model, grid, phi.astype(complex), 0.0)
@@ -340,8 +330,7 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
         trial = solver(phi / tau + f + theta * wc * phi)
         trial *= np.sqrt(nu / charge_of(trial))
         K, P = functionals_of(trial)
-        L = float(sum(model.coeffs.beta[k] * grids.norm_sq(grid, trial[k])
-                      for k in range(model.l)))
+        L = grids.weighted_norm_sq(grid, model.coeffs.beta, trial)
         E_new = K + L - 2.0 * P
         if E_new > E + 1e-12 * max(1.0, abs(E)):
             tau *= 0.5

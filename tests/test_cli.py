@@ -107,6 +107,9 @@ def test_evolve_scenario(tmp_path):
     assert (out / "diagnostics.csv").exists()
     header = (out / "diagnostics.csv").read_text().splitlines()[0]
     assert header.startswith("t,Q,E,K,L,P,V,Vp,linf_1")
+    run = json.loads((out / "report.json").read_text())["run"]
+    assert run == {"status": "completed", "monitor": None, "t_detect": None,
+                   "steps": 200, "rejected": 0, "dt_final": 1e-3}
 
 
 def test_virial_scenario(tmp_path):

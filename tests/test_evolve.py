@@ -304,6 +304,40 @@ class TestMonitors:
         assert out.status == "completed"
         assert len(out.diagnostics) >= 3
 
+    def test_monitor_and_rejections_recorded(self, gs_shg3_cart):
+        cap = 0.5 * float(max(gs_shg3_cart.state.linf()))
+        out = run_with_monitors(gs_shg3_cart.state,
+                                EvolveConfig(dt=1e-3, t_end=0.1, blowup_linf=cap),
+                                with_variance=False)
+        assert (out.monitor, out.rejected) == ("linf", 0)
+        # the first attempt drifts past the tolerance and its half lies below dt_min
+        cfg = EvolveConfig(dt=1e-2, t_end=0.1, adaptive=True, dt_min=6e-3,
+                           step_drift_tol=1e-15)
+        out = run_with_monitors(gs_shg3_cart.state, cfg, with_variance=False)
+        assert (out.status, out.monitor, out.t_detect) == ("blown_up", "dt_floor", 0.0)
+        assert (out.steps, out.rejected, out.dt_final) == (0, 1, 5e-3)
+        out = run_with_monitors(gs_shg3_cart.state, EvolveConfig(dt=1e-2, t_end=0.05))
+        assert out.as_json() == {"status": "completed", "monitor": None, "t_detect": None,
+                                 "steps": 5, "rejected": 0, "dt_final": 1e-2}
+
+    def test_adaptive_outcome_independent_of_sampling(self):
+        # the per-step monitors between samples see the same values as a full
+        # snapshot, so sampling every step changes only the diagnostics kept
+        gs = petviashvili_solve(builtin_model("shg3"), 1.0, GridSpec("radial", 5, 256, 12.0))
+        data = FieldState(gs.model, gs.grid, 1.2 * gs.profile.astype(complex), 0.0)
+        outs = [run_with_monitors(data, EvolveConfig(
+                    dt=1e-3, t_end=5.0, sample_every=every, blowup_K_factor=2.0,
+                    adaptive=True, dt_min=1e-7, step_drift_tol=1e-5))
+                for every in (1, 10)]
+        dense, sparse = outs
+        assert dense.status == "blown_up" and dense.monitor == "kinetic"
+        assert dense.rejected > 0
+        for name in ("status", "monitor", "t_detect", "steps", "rejected", "dt_final"):
+            assert getattr(sparse, name) == getattr(dense, name)
+        assert len(dense.diagnostics) == dense.steps + 1
+        assert list(sparse.diagnostics) == list(dense.diagnostics)[::10]
+        assert np.array_equal(sparse.final.components, dense.final.components)
+
 
 class TestChirp:
     def test_chirp_preserves_moduli(self, gs_shg3_cart):

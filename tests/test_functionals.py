@@ -71,6 +71,23 @@ class TestBasicFunctionals:
         st = random_state(m, grid1, seed=4)
         assert fn.energy(st) == pytest.approx(fn.kinetic(st) + fn.linear_term(st))
 
+    @pytest.mark.parametrize("grid", [GridSpec("cartesian", 1, 256, 15.0),
+                                      GridSpec("cartesian", 2, 64, 8.0),
+                                      GridSpec("radial", 5, 512, 12.0)])
+    def test_stacked_sums_equal_component_loops(self, grid):
+        from qnls import grids
+        m = builtin_model("shg3", beta=(0.5, 1.0, 0.25))
+        st = random_state(m, grid, seed=5)
+        c, u = m.coeffs, st.components
+
+        def loop(w, norm=grids.norm_sq):
+            return float(sum(w[k] * norm(grid, u[k]) for k in range(m.l)))
+
+        assert fn.charge(st) == loop(c.alpha**2 / c.gamma)
+        assert fn.linear_term(st) == loop(c.beta)
+        assert fn.weighted_mass(st, 1.3) == loop(c.b(1.3))
+        assert fn.kinetic(st) == loop(c.gamma, grids.grad_sq_integral)
+
 
 class TestActionAndQuotient:
     def test_action_zero(self, uv2, grid1):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from qnls.grids import (Field, FieldState, GridSpec, apply_laplacian,
                         boundary_mass_fraction, grad_sq_integral, gradient_components,
                         integrate, laplacian, momentum_density_integral,
                         multiply_by_radius_sq, norm_sq,
-                        radial_laplacian_banded, read_snapshot, read_snapshot_raw,
+                        radial_laplacian_banded, radial_shifted_solver,
+                        read_snapshot, read_snapshot_raw,
                         symmetric_decreasing_rearrangement, write_snapshot)
 from qnls.nonlinearity import builtin_model
 
@@ -126,6 +130,55 @@ class TestRadialOperators:
             if i - 1 >= 0:
                 dense[i, i - 1] = ab[2, i - 1]
         assert np.max(np.abs(dense @ v - apply_laplacian(g, v))) < 1e-12
+
+
+def _banded_reference(grid, shift, scale, rhs):
+    """(shift_k I - scale_k Lap_h)^{-1} rhs_k by scipy's general banded solver."""
+    lap = radial_laplacian_banded(grid)
+    out = []
+    for s, c, b in zip(shift, scale, rhs):
+        ab = -c * lap
+        ab[1] += s
+        out.append(solve_banded((1, 1), ab, b))
+    return np.array(out)
+
+
+class TestFactoredRadialSolve:
+    radial_grids = st.builds(lambda n, N, extent: GridSpec("radial", n, N, extent),
+                             st.integers(1, 5), st.integers(8, 300), st.floats(0.5, 40.0))
+
+    @staticmethod
+    def assert_matches(grid, shift, scale, rhs):
+        x = radial_shifted_solver(grid, shift, scale)(rhs)
+        ref = _banded_reference(grid, shift, scale, rhs)
+        assert x.dtype == ref.dtype
+        assert np.max(np.abs(x - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=radial_grids, l=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(1e-6, 1.0))
+    def test_crank_nicolson_matrices(self, grid, l, seed, dt):
+        # complex left-hand matrices (1 + c beta) I - c gamma Lap_h, c = i dt/(2 alpha)
+        rng = np.random.default_rng(seed)
+        alpha, gamma = rng.uniform(0.2, 4.0, l), rng.uniform(0.1, 5.0, l)
+        beta = rng.uniform(-2.0, 2.0, l)
+        c = 1j * dt / (2.0 * alpha)
+        rhs = rng.normal(size=(l, grid.N)) + 1j * rng.normal(size=(l, grid.N))
+        self.assert_matches(grid, 1.0 + c * beta, c * gamma, rhs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=radial_grids, l=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_real_resolvents(self, grid, l, seed):
+        # real elliptic resolvents b I - gamma Lap_h with b > 0
+        rng = np.random.default_rng(seed)
+        b, gamma = 10.0 ** rng.uniform(-2.0, 1.0, l), rng.uniform(0.1, 5.0, l)
+        self.assert_matches(grid, b, gamma, rng.normal(size=(l, grid.N)))
+
+    def test_singular_matrix_raises(self):
+        # a zero diagonal with zero off-diagonals leaves a zero pivot
+        g = GridSpec("radial", 3, 16, 4.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            radial_shifted_solver(g, [0.0], [0.0])
 
 
 class TestVarianceWeights:

@@ -86,6 +86,24 @@ class TestPetviashvili:
         with pytest.raises(ConvergenceError):
             petviashvili_solve(m, 1.0, GridSpec("cartesian", 1, 64, 10.0))
 
+    def test_iterations_count_the_iterations_run(self, monkeypatch):
+        # this n = 5 solve stops on the machine-converged branch (its residual
+        # never reaches tol); each iteration evaluates f_k once, plus the two
+        # evaluations of the initial rescale
+        from qnls.nonlinearity import ModelSpec
+        calls = []
+        eval_fk = ModelSpec.eval_fk
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return eval_fk(self, *args, **kwargs)
+
+        monkeypatch.setattr(ModelSpec, "eval_fk", counted)
+        result = petviashvili_solve(builtin_model("shg3"), 1.0,
+                                    GridSpec("radial", 5, 1024, 12.0))
+        assert result.residual >= 1e-10
+        assert len(calls) == result.iterations + 2
+
     def test_stabilization_factor_converged(self, gs_n3):
         # at the fixed point the stabilization factor is 1: re-apply one sweep
         state = gs_n3
