@@ -39,8 +39,8 @@ from .functionals import (FunctionalSnapshot, ThresholdReport, action, charge, e
                           virial_rhs_gradient_form, weighted_mass, weinstein_infimum,
                           weinstein_quotient)
 from .evolve import (DiagnosticsSeries, EvolutionOutcome, EvolveConfig, pde_residual,
-                     pseudo_conformal_solution, radial_step, run_with_monitors,
-                     split_step, standing_wave, virial_check)
+                     pseudo_conformal_solution, run_with_monitors, standing_wave,
+                     virial_check)
 from .groundstate import (ConstrainedMinResult, ConvergenceError, GroundStateResult,
                           InstabilityData5D, amplified_initializer,
                           constrained_minimize, dilated_initializer,

@@ -66,6 +66,7 @@ class ExperimentReport:
     settings: dict = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
     run: dict | None = None  # EvolutionOutcome.as_json() of the scenario's monitored run
+    solve: dict | None = None  # iterations, restarts and residual of a profile solve
 
     def check(self, name, measured, expected, tolerance, provenance="",
               compare="abs") -> bool:
@@ -109,6 +110,8 @@ class ExperimentReport:
                    "artifacts": self.artifacts}
         if self.run is not None:
             payload["run"] = self.run
+        if self.solve is not None:
+            payload["solve"] = self.solve
         (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -241,6 +244,8 @@ def cmd_groundstate(st: Settings) -> ExperimentReport:
     model = st.resolve_model()
     grid = st.resolve_grid()
     result = petviashvili_solve(model, st.omega, grid)
+    rep.solve = {"iterations": result.iterations, "restarts": result.restarts,
+                 "residual": result.residual}
     n = grid.n
     rep.check("residual", result.residual, 0.0, 1e-8, compare="le",
               provenance="stationary-system sup-norm residual")

@@ -296,20 +296,6 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
                             monitor=monitor, rejected=rejected)
 
 
-def split_step(state: FieldState, config: EvolveConfig, **kw) -> EvolutionOutcome:
-    """Spectral splitting run; Cartesian grids only."""
-    if state.grid.kind != grids.CARTESIAN:
-        raise ValueError("split_step runs on Cartesian grids; see radial_step")
-    return run_with_monitors(state, config, **kw)
-
-
-def radial_step(state: FieldState, config: EvolveConfig, **kw) -> EvolutionOutcome:
-    """Crank-Nicolson splitting run; radial grids only."""
-    if state.grid.kind != grids.RADIAL:
-        raise ValueError("radial_step runs on radial grids; see split_step")
-    return run_with_monitors(state, config, **kw)
-
-
 # ---------------------------------------------------------------------------
 # closed-form references
 

@@ -5,7 +5,10 @@ Two grid kinds cover the laboratory:
 * Cartesian: the box [-L, L)^n with N points per axis and periodic
   boundaries.  Differential operators are exact Fourier multipliers with
   wavenumbers xi = pi m / L, quadrature is the plain Riemann sum h^n sum f
-  (trapezoid = Riemann sum under periodicity).
+  (trapezoid = Riemann sum under periodicity).  A real field goes through
+  the real-to-real transforms (rfftn, a multiplier on the half spectrum,
+  irfftn back to the grid shape) and stays real; a complex field goes
+  through the full complex transforms.
 
 * Radial: nodes r_i = i h on [0, R_max], h = R_max / N, holding radially
   symmetric profiles in dimension 1 <= n <= 5.  The Laplacian is the
@@ -53,7 +56,7 @@ class GridSpec:
         if self.kind == RADIAL and not (1 <= self.n <= 5):
             raise ValueError("radial grids support 1 <= n <= 5")
         if self.N < 8:
-            raise ValueError("need at least 8 points per axis")
+            raise ValueError(f"need at least 8 points per axis, got N={self.N}")
         if not self.extent > 0:
             raise ValueError("extent must be positive")
 
@@ -103,6 +106,12 @@ def _cartesian_ksq(grid: GridSpec) -> np.ndarray:
     for k in ks:
         out = out + k**2
     return out
+
+
+@lru_cache(maxsize=64)
+def _cartesian_half_ksq(grid: GridSpec) -> np.ndarray:
+    """|xi|^2 on the half spectrum of rfftn (last axis cut to N//2 + 1)."""
+    return np.ascontiguousarray(_cartesian_ksq(grid)[..., :grid.N // 2 + 1])
 
 
 @lru_cache(maxsize=64)
@@ -196,10 +205,13 @@ def radial_shifted_solver(grid: GridSpec, shift, scale):
 
 
 def apply_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Discrete Laplacian on one field or a stack of fields (leading axes free)."""
+    """Discrete Laplacian of one field or a stack (leading axes free); real in, real out."""
     if grid.kind == CARTESIAN:
         axes = tuple(range(-grid.n, 0))
-        return np.fft.ifftn(-_cartesian_ksq(grid) * np.fft.fftn(values, axes=axes), axes=axes)
+        if np.iscomplexobj(values):
+            return np.fft.ifftn(-_cartesian_ksq(grid) * np.fft.fftn(values, axes=axes), axes=axes)
+        spectrum = -_cartesian_half_ksq(grid) * np.fft.rfftn(values, axes=axes)
+        return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
     n, h = grid.n, grid.h
     r = grid.axis()
     lap = np.zeros_like(values)
@@ -410,6 +422,7 @@ def symmetric_decreasing_rearrangement(field: Field) -> Field:
 # (re, im), one block per component, row-major.
 
 SNAPSHOT_MAGIC = "QNLS1"
+SNAPSHOT_HEADER_LIMIT = 1024  # bytes, end of line included
 
 
 def write_snapshot(state: FieldState, path) -> None:
@@ -418,34 +431,57 @@ def write_snapshot(state: FieldState, path) -> None:
               f"extent={grid.extent!r} l={state.l} t={state.t!r}\n")
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
-        for k in range(state.l):
-            comp = np.ascontiguousarray(state.components[k])
-            inter = np.empty(2 * comp.size, dtype="<f8")
-            inter[0::2] = comp.real.ravel()
-            inter[1::2] = comp.imag.ravel()
-            fh.write(inter.tobytes())
+        fh.write(np.asarray(state.components, dtype="<c16").tobytes())
+
+
+def parse_fields(pairs, spec: dict) -> dict:
+    """{key: parse(value)} for each (key, parse) of spec, from "key=value"
+    strings (a later pair wins).  A pair without "=", a missing field or a
+    value that does not parse raises ValueError naming the field."""
+    fields = {}
+    for pair in pairs:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ValueError(f"field {pair!r} is not key=value")
+        fields[key.strip()] = value.strip()
+    out = {}
+    for key, parse in spec.items():
+        if key not in fields:
+            raise ValueError(f"missing field {key!r}")
+        try:
+            out[key] = parse(fields[key])
+        except ValueError as exc:
+            raise ValueError(f"bad field {key}={fields[key]!r}: {exc}") from None
+    return out
 
 
 def read_snapshot_raw(path, return_trailer: bool = False):
-    """Parse a snapshot; optionally also return any text after the payload."""
+    """Parse a snapshot; optionally also return any text after the payload.
+    A malformed file raises ValueError naming the file and the field."""
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").strip()
-        parts = header.split()
-        if not parts or parts[0] != SNAPSHOT_MAGIC:
-            raise ValueError(f"not a {SNAPSHOT_MAGIC} snapshot: {path}")
-        kv = dict(p.split("=", 1) for p in parts[1:])
-        grid = GridSpec(kind=kv["kind"], n=int(kv["n"]), N=int(kv["N"]),
-                        extent=float(kv["extent"]))
-        l, t = int(kv["l"]), float(kv["t"])
-        expected = 2 * l * grid.size
-        raw = np.frombuffer(fh.read(8 * expected), dtype="<f8")
-        trailer = fh.read().decode("ascii") if return_trailer else ""
-    if raw.size != expected:
-        raise ValueError(f"snapshot payload has {raw.size} floats, expected {expected}")
-    comps = (raw[0::2] + 1j * raw[1::2]).reshape((l,) + grid.shape)
+        try:
+            line = fh.readline(SNAPSHOT_HEADER_LIMIT)
+            parts = line.decode("ascii").split()
+            if not parts or parts[0] != SNAPSHOT_MAGIC:
+                raise ValueError(f"not a {SNAPSHOT_MAGIC} snapshot")
+            if not line.endswith(b"\n"):
+                raise ValueError(f"header longer than {SNAPSHOT_HEADER_LIMIT} bytes")
+            h = parse_fields(parts[1:], {"kind": str, "n": int, "N": int,
+                                         "extent": float, "l": int, "t": float})
+            grid = GridSpec(h["kind"], h["n"], h["N"], h["extent"])
+            l, nbytes = h["l"], 16 * h["l"] * grid.size
+            if l < 1:
+                raise ValueError(f"bad field l={l}: need at least one component")
+            payload = fh.read(nbytes)
+            if len(payload) != nbytes:
+                raise ValueError(f"payload has {len(payload)} bytes, expected {nbytes}")
+            trailer = fh.read().decode("ascii") if return_trailer else ""
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(f"{path}: {exc}") from None
+    comps = np.frombuffer(payload, dtype="<c16").astype(complex).reshape((l,) + grid.shape)
     if return_trailer:
-        return grid, comps, t, trailer
-    return grid, comps, t
+        return grid, comps, h["t"], trailer
+    return grid, comps, h["t"]
 
 
 def read_snapshot(path, model: ModelSpec) -> FieldState:

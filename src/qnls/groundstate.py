@@ -24,7 +24,7 @@ symmetry-modded distance used to compare field states to a profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -53,33 +53,35 @@ class GroundStateResult:
     I: float
     J: float
     pohozaev_dev: tuple[float, float, float]
+    restarts: int = 0  # tilt restarts before the attempt that converged
 
     @property
     def state(self) -> FieldState:
-        return FieldState(self.model, self.grid, self.profile.astype(complex), 0.0)
+        return FieldState(self.model, self.grid, self.profile, 0.0)
 
 
 def _linear_solver(model: ModelSpec, grid: GridSpec, b: np.ndarray):
-    """Return a function applying (-gamma_k Lap + b_k)^{-1} componentwise."""
+    """Return a function applying (-gamma_k Lap + b_k)^{-1} componentwise to
+    real right-hand sides; the result is real."""
     if grid.kind == grids.CARTESIAN:
-        ksq = grids._cartesian_ksq(grid)
+        ksq = grids._cartesian_half_ksq(grid)
         denom = np.stack([model.coeffs.gamma[k] * ksq + b[k] for k in range(model.l)])
         axes = tuple(range(-grid.n, 0))
 
         def solve(rhs):
-            return np.real(np.fft.ifftn(np.fft.fftn(rhs, axes=axes) / denom, axes=axes))
+            return np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=grid.shape, axes=axes)
 
         return solve
     return grids.radial_shifted_solver(grid, b, model.coeffs.gamma)
 
 
 def _elliptic_sides(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray):
-    """(-gamma_k Lap psi_k + b_k psi_k, f_k(psi)) as complex fields."""
+    """(-gamma_k Lap psi_k + b_k psi_k, f_k(psi)), real for a real psi and
+    a model with real coefficients."""
     shape_ones = (1,) * len(grid.shape)
     g = model.coeffs.gamma.reshape((model.l,) + shape_ones)
     bb = np.asarray(b).reshape((model.l,) + shape_ones)
-    lap = grids.apply_laplacian(grid, psi.astype(complex))
-    return -g * lap + bb * psi, model.eval_fk(psi.astype(complex))
+    return -g * grids.apply_laplacian(grid, psi) + bb * psi, model.eval_fk(psi)
 
 
 def elliptic_residual(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray) -> float:
@@ -95,7 +97,7 @@ def _default_init(model: ModelSpec, grid: GridSpec, amplitudes) -> np.ndarray:
     if grid.kind == grids.RADIAL or grid.n == 1:
         init = np.stack([
             np.real(grids.symmetric_decreasing_rearrangement(grids.Field(grid, c)).values)
-            for c in init.astype(complex)])
+            for c in init])
     return init
 
 
@@ -130,8 +132,9 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
         if np.max(np.abs(psi)) == 0:
             raise ValueError("initial guess must not vanish identically")
         try:
-            return _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol,
-                                         max_iter, damping)
+            result = _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol,
+                                           max_iter, damping)
+            return replace(result, restarts=attempt)
         except ConvergenceError as exc:
             last_exc = exc
     raise ConvergenceError(f"fixed-point iteration failed after restarts: {last_exc}")
@@ -147,8 +150,8 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
 
     # rescale so the first stabilization factor is 1: S(c psi) = S(psi)/c
     lhs, fk = _elliptic_sides(model, grid, psi, b)
-    A = quad(np.sum(np.real(lhs) * psi, axis=0))
-    B = quad(np.sum(np.real(fk) * psi, axis=0))
+    A = quad(np.sum(lhs * psi, axis=0))
+    B = quad(np.sum(fk.real * psi, axis=0))
     if B <= 0:
         raise ConvergenceError("interaction pairing non-positive on the initial guess")
     psi = (A / B) * psi
@@ -162,8 +165,10 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
     S = np.inf
     best_res, best_psi, since_best = np.inf, None, 0
     for iteration in range(1, max_iter + 1):
-        f = np.real(fk)
-        A = quad(np.sum(np.real(lhs) * psi, axis=0))
+        # fk itself for real couplings; a model with complex coefficients
+        # iterates on the real part (the residual counts the imaginary part)
+        f = fk.real
+        A = quad(np.sum(lhs * psi, axis=0))
         B = quad(np.sum(f * psi, axis=0))
         if not np.isfinite(B) or B <= 0:
             raise ConvergenceError(f"interaction pairing degenerated at iteration {iteration}")
@@ -192,7 +197,7 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
 
 
 def _finalize(model, grid, omega, psi, res, iterations) -> GroundStateResult:
-    state = FieldState(model, grid, psi.astype(complex), 0.0)
+    state = FieldState(model, grid, psi, 0.0)
     K = functionals.kinetic(state)
     Qcal = functionals.weighted_mass(state, omega)
     P = functionals.interaction(state)
@@ -302,18 +307,15 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
     bet = model.coeffs.beta.reshape((model.l,) + shape_ones)
     wc = w_charge.reshape((model.l,) + shape_ones)
 
-    def charge_of(phi):
-        return grids.weighted_norm_sq(grid, w_charge, phi)
-
     def functionals_of(phi):
-        state = FieldState(model, grid, phi.astype(complex), 0.0)
+        state = FieldState(model, grid, phi, 0.0)
         return functionals.kinetic(state), functionals.interaction(state)
 
     phi = np.array(init, dtype=float) if init is not None \
         else _default_init(model, grid, np.ones(model.l))
-    phi *= np.sqrt(nu / charge_of(phi))
+    phi *= np.sqrt(nu / grids.weighted_norm_sq(grid, w_charge, phi))
     K, P = functionals_of(phi)
-    E = K + functionals.linear_term(FieldState(model, grid, phi.astype(complex), 0.0)) - 2 * P
+    E = K + functionals.linear_term(FieldState(model, grid, phi, 0.0)) - 2 * P
 
     solver_cache: dict[float, object] = {}
     iterations = 0
@@ -321,14 +323,14 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
     theta = (K - 3.0 * P) / nu
     while iterations < max_iter:
         iterations += 1
-        f = np.real(model.eval_fk(phi.astype(complex)))
+        f = model.eval_fk(phi).real
         # (-gamma Lap + beta + 1/tau) trial = phi/tau + f + theta w phi
         solver = solver_cache.get(tau)
         if solver is None:
             solver = _linear_solver(model, grid, 1.0 / tau + model.coeffs.beta)
             solver_cache[tau] = solver
         trial = solver(phi / tau + f + theta * wc * phi)
-        trial *= np.sqrt(nu / charge_of(trial))
+        trial *= np.sqrt(nu / grids.weighted_norm_sq(grid, w_charge, trial))
         K, P = functionals_of(trial)
         L = grids.weighted_norm_sq(grid, model.coeffs.beta, trial)
         E_new = K + L - 2.0 * P
@@ -340,13 +342,12 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
         phi, E = trial, E_new
         theta = (K - 3.0 * P) / nu
         if iterations % 20 == 0 or iterations < 10:
-            f = np.real(model.eval_fk(phi.astype(complex)))
-            lap = np.real(grids.apply_laplacian(grid, phi.astype(complex)))
-            el = -gam * lap + bet * phi - f - theta * wc * phi
+            f = model.eval_fk(phi).real
+            el = -gam * grids.apply_laplacian(grid, phi) + bet * phi - f - theta * wc * phi
             residual = float(np.max(np.abs(el)))
             if residual < tol:
                 break
-    state = FieldState(model, grid, phi.astype(complex), 0.0)
+    state = FieldState(model, grid, phi, 0.0)
     if residual > max(tol, 1e-6):
         raise ConvergenceError(
             f"constrained flow stalled: EL residual {residual:.3e} after {iterations} sweeps")
@@ -538,23 +539,29 @@ def write_groundstate_archive(result: GroundStateResult, path) -> None:
              f"I={result.I!r}", f"K={result.K!r}", f"Qcal={result.Qcal!r}",
              f"P={result.P!r}", f"Q={result.Q!r}", f"J={result.J!r}",
              f"residual={result.residual!r}", f"iterations={result.iterations}",
-             f"pohozaev_dev={dev}",
+             f"restarts={result.restarts}", f"pohozaev_dev={dev}",
              "[model]"] + model_lines(result.model)
     with open(path, "ab") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
+def _deviations(text: str) -> tuple[float, float, float]:
+    dev = tuple(float(v) for v in text.split(","))
+    if len(dev) != 3:
+        raise ValueError(f"expected 3 values, got {len(dev)}")
+    return dev
+
+
 def read_groundstate_archive(path) -> GroundStateResult:
+    """Read an archive; a malformed one raises ValueError naming the file and
+    the field.  An archive without a restarts line reads as 0 restarts."""
     grid, comps, _, trailer = grids.read_snapshot_raw(path, return_trailer=True)
     head, _, model_part = trailer.partition("[model]")
-    kv = {}
-    for line in head.strip().splitlines():
-        key, _, value = line.partition("=")
-        kv[key.strip()] = value.strip()
-    model = parse_model_lines(model_part.strip().splitlines())
-    dev = tuple(float(v) for v in kv["pohozaev_dev"].split(","))
-    return GroundStateResult(model=model, grid=grid, omega=float(kv["omega"]),
-                             profile=np.real(comps), residual=float(kv["residual"]),
-                             iterations=int(kv["iterations"]), K=float(kv["K"]),
-                             Qcal=float(kv["Qcal"]), P=float(kv["P"]), Q=float(kv["Q"]),
-                             I=float(kv["I"]), J=float(kv["J"]), pohozaev_dev=dev)
+    spec = dict.fromkeys(("omega", "residual", "K", "Qcal", "P", "Q", "I", "J"), float)
+    spec.update(iterations=int, restarts=int, pohozaev_dev=_deviations)
+    try:
+        model = parse_model_lines(model_part.strip().splitlines())
+        kv = grids.parse_fields(["restarts=0"] + head.strip().splitlines(), spec)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return GroundStateResult(model=model, grid=grid, profile=np.real(comps), **kv)

@@ -73,7 +73,7 @@ def _collect(terms: list[Term]) -> list[Term]:
     return out
 
 
-Plan = tuple[tuple[complex, tuple[int, ...]], ...]
+Plan = tuple[tuple[float | complex, tuple[int, ...]], ...]
 
 
 def compile_terms(terms: list[Term]) -> Plan:
@@ -83,13 +83,15 @@ def compile_terms(terms: list[Term]) -> Plan:
     order, one per unit of degree: z_j^p contributes p copies of j and
     conj(z_j)^q contributes q copies of l + j.  Every monomial compiled
     here has degree 2 (the f_k) or 3 (F), so it has at least two factors.
+    A coefficient with zero imaginary part is stored as a float.
     """
     plan = []
     for coeff, powers, conj_powers in terms:
         l = len(powers)
         factors = [j for j, p in enumerate(powers) for _ in range(p)]
         factors += [l + j for j, q in enumerate(conj_powers) for _ in range(q)]
-        plan.append((complex(coeff), tuple(factors)))
+        coeff = complex(coeff)
+        plan.append((coeff.real if coeff.imag == 0 else coeff, tuple(factors)))
     return tuple(plan)
 
 
@@ -97,6 +99,8 @@ def eval_terms(plans: tuple[Plan, ...], z: np.ndarray, out: np.ndarray | None = 
     """Evaluate compiled plans at z (shape (l,) or (l, ...) for gridded fields).
 
     Row m of the result, shape (len(plans),) + z.shape[1:], holds plan m.
+    Its dtype is np.result_type of z and every plan coefficient: real z and
+    real coefficients give a real result, any complex one a complex result.
     Only the components that appear conjugated are conjugated.  Each
     monomial is multiplied out left to right over its factors and then
     scaled by its coefficient (skipped when it is 1), and the monomials are
@@ -105,11 +109,12 @@ def eval_terms(plans: tuple[Plan, ...], z: np.ndarray, out: np.ndarray | None = 
     """
     l = z.shape[0]
     if out is None:
-        out = np.empty((len(plans),) + z.shape[1:], dtype=complex)
+        dtype = np.result_type(z, *(coeff for plan in plans for coeff, _ in plan))
+        out = np.empty((len(plans),) + z.shape[1:], dtype=dtype)
     operands = list(z) + [None] * l
     for j in {i - l for plan in plans for _, factors in plan for i in factors if i >= l}:
         operands[l + j] = np.conj(z[j])
-    scratch = np.empty(z.shape[1:], dtype=complex) if any(len(p) > 1 for p in plans) else None
+    scratch = np.empty(z.shape[1:], dtype=out.dtype) if any(len(p) > 1 for p in plans) else None
     for m, plan in enumerate(plans):
         row = out[m, ...]
         if not plan:
@@ -171,8 +176,9 @@ class TrilinearPotential:
         return self.eval(z)
 
     def eval(self, z) -> np.ndarray | complex:
-        """F(z) for a length-l complex vector or (l, ...) field stack."""
-        z = np.asarray(z, dtype=complex)
+        """F(z) for a length-l vector or (l, ...) field stack; real z and
+        real coefficients give a real result (see eval_terms)."""
+        z = np.asarray(z)
         if z.shape[0] != self.l:
             raise ValueError(f"expected {self.l} components, got {z.shape[0]}")
         return eval_terms((self.plan,), z)[0]
@@ -286,10 +292,12 @@ class ModelSpec:
     def eval_fk(self, z, out: np.ndarray | None = None) -> np.ndarray:
         """All couplings stacked: shape (l,) on vectors, (l, ...) on fields.
 
-        With out (complex, the shape of z, not overlapping z) the couplings
-        are written there and out is returned.
+        Real z and a model whose coefficients are all real give a real
+        result; a complex z or any complex coefficient gives a complex one.
+        With out (the shape of z, not overlapping z, of a dtype that holds
+        the result) the couplings are written there and out is returned.
         """
-        z = np.asarray(z, dtype=complex)
+        z = np.asarray(z)
         if z.shape[0] != self.l:
             raise ValueError(f"expected {self.l} components, got {z.shape[0]}")
         return eval_terms(self.fk_plans, z, out)

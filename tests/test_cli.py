@@ -82,6 +82,9 @@ def test_groundstate_archive_then_threshold(tmp_path):
     assert code == 0
     archive = out / "groundstate.qnls"
     assert archive.exists()
+    solve = json.loads((out / "report.json").read_text())["solve"]
+    assert set(solve) == {"iterations", "restarts", "residual"}
+    assert solve["iterations"] > 0 and solve["restarts"] == 0 and solve["residual"] < 1e-8
 
     out2 = tmp_path / "thr"
     code = main(["threshold", "--archive", str(archive), "--amplitude", "0.9",

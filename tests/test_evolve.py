@@ -4,8 +4,8 @@ import pytest
 from qnls import functionals as fn
 from qnls.evolve import (DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
                          pseudo_conformal_solution, pseudo_conformal_with_rate,
-                         radial_step, run_with_monitors, split_step, standing_wave,
-                         standing_wave_with_rate, virial_check)
+                         run_with_monitors, standing_wave, standing_wave_with_rate,
+                         virial_check)
 from qnls.grids import FieldState, GridSpec, norm_sq
 from qnls.groundstate import elliptic_residual, petviashvili_solve
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, TrilinearPotential,
@@ -165,8 +165,9 @@ class TestStandingWave:
     def test_radial_propagation(self):
         gs = petviashvili_solve(builtin_model("shg3"), 1.0,
                                 GridSpec("radial", 3, 256, 14.0))
-        out = radial_step(gs.state, EvolveConfig(dt=2e-4, t_end=0.2, sample_every=10**9),
-                          with_variance=False)
+        out = run_with_monitors(gs.state,
+                                EvolveConfig(dt=2e-4, t_end=0.2, sample_every=10**9),
+                                with_variance=False)
         ref = standing_wave(gs.state, 1.0, out.final.t)
         err = np.sqrt(sum(norm_sq(gs.grid, out.final.components[k] - ref.components[k])
                           for k in range(3)))
@@ -177,19 +178,9 @@ class TestStandingWave:
         m = builtin_model("shg3")
         g = GridSpec("radial", 5, 64, 8.0)
         st = FieldState(m, g, np.zeros((3, 64), dtype=complex), 0.0)
-        out = radial_step(st, EvolveConfig(dt=1e-2, t_end=0.1), with_variance=False)
+        out = run_with_monitors(st, EvolveConfig(dt=1e-2, t_end=0.1), with_variance=False)
         assert np.all(out.final.components == 0.0)
         assert out.status == "completed"
-
-    def test_dispatch_guards(self, gs_shg3_cart):
-        cfg = EvolveConfig(dt=1e-2, t_end=0.1)
-        with pytest.raises(ValueError):
-            radial_step(gs_shg3_cart.state, cfg)
-        m = builtin_model("shg3")
-        g = GridSpec("radial", 3, 64, 8.0)
-        st = FieldState(m, g, np.zeros((3, 64), dtype=complex), 0.0)
-        with pytest.raises(ValueError):
-            split_step(st, cfg)
 
 
 class TestResiduals:

@@ -335,6 +335,17 @@ class TestFieldState:
         assert boundary_mass_fraction(wide) > 1e-3
 
 
+class TestRealCartesianLaplacian:
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 63), (2, 32), (2, 31), (3, 16), (3, 15)])
+    def test_matches_complex_path(self, n, N):
+        g = GridSpec("cartesian", n, N, 3.0)
+        f = np.random.default_rng(N).normal(size=(2,) + g.shape)
+        lap = apply_laplacian(g, f)
+        ref = apply_laplacian(g, f.astype(complex))
+        assert lap.dtype == np.float64 and lap.shape == f.shape
+        assert np.max(np.abs(lap - np.real(ref))) <= 1e-13 * np.max(np.abs(ref))
+
+
 class TestSnapshots:
     def test_round_trip(self, tmp_path):
         m = builtin_model("shg3")
@@ -363,6 +374,27 @@ class TestSnapshots:
         path.write_bytes(b"NOPE\n")
         with pytest.raises(ValueError):
             read_snapshot_raw(path)
+
+    GOOD = b"QNLS1 kind=cartesian n=1 N=8 extent=2.0 l=1 t=0.0\n"
+
+    @pytest.mark.parametrize("data,field", [
+        (b"QNLS1 kind=cartesian n=1\n", "'N'"),
+        (GOOD.replace(b"t=0.0", b"t=0.\xff"), "ascii"),
+        (GOOD.replace(b"N=8", b"N=x"), "N='x'"),
+        (GOOD.replace(b"N=8", b"N8"), "'N8'"),
+        (GOOD.replace(b"l=1", b"l=0"), "l=0"),
+        (GOOD.replace(b"N=8", b"N=4"), "N=4"),
+        (GOOD.replace(b"\n", b" pad=" + b"x" * 1024 + b"\n"), "header longer"),
+        (GOOD + b"\0" * 13, "payload"),
+    ], ids=["missing", "non-ascii", "bad-int", "no-equals", "no-components",
+            "bad-grid", "long-header", "short-payload"])
+    def test_malformed_header(self, tmp_path, data, field):
+        path = tmp_path / "bad.qnls"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as info:
+            read_snapshot_raw(path)
+        assert str(path) in str(info.value)
+        assert field in str(info.value)
 
     def test_component_mismatch(self, tmp_path):
         m2, m3 = builtin_model("uv2"), builtin_model("shg3")

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from qnls import functionals as fn
+from qnls import grids
 from qnls.grids import FieldState, GridSpec
-from qnls.groundstate import (ConvergenceError, amplified_initializer,
+from qnls.groundstate import (ConvergenceError, _linear_solver, amplified_initializer,
                               constrained_minimize, dilated_initializer,
                               elliptic_residual, instability_initializer, lambda_star,
                               mass_preserving_dilation, modulated_distance,
@@ -72,6 +75,7 @@ class TestPetviashvili:
         init = np.stack([np.exp(-g.axis() ** 2), np.zeros(g.N)])
         result = petviashvili_solve(m, 1.0, g, init=init)
         assert result.residual < 1e-8
+        assert result.restarts == 1
 
     def test_zero_init_rejected(self):
         m = builtin_model("uv2", kappa=1.0)
@@ -110,6 +114,22 @@ class TestPetviashvili:
         b = state.model.coeffs.b(1.0)
         res = elliptic_residual(state.model, state.grid, state.profile, b)
         assert res == pytest.approx(state.residual, rel=1e-6)
+
+
+class TestResolvent:
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 63), (2, 32), (2, 31), (3, 16), (3, 15)])
+    @pytest.mark.parametrize("name", ["shg3", "uv2"])
+    def test_inverts_the_operator(self, name, n, N):
+        m = builtin_model(name)
+        g = GridSpec("cartesian", n, N, 3.0)
+        b = m.coeffs.b(1.0)
+        f = np.random.default_rng(N).normal(size=(m.l,) + g.shape)
+        u = _linear_solver(m, g, b)(f)
+        assert u.dtype == np.float64 and u.shape == f.shape
+        shape = (m.l,) + (1,) * n
+        back = (-m.coeffs.gamma.reshape(shape) * grids.apply_laplacian(g, u)
+                + b.reshape(shape) * u)
+        assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
 class TestPohozaev:
@@ -332,6 +352,26 @@ class TestArchive:
         assert np.array_equal(back.profile, gs_n3.profile)
         z = np.array([0.5, 0.25, 0.1], dtype=complex)
         assert np.allclose(back.model.eval_fk(z), gs_n3.model.eval_fk(z))
+
+    def test_restarts_round_trip(self, gs_n3, tmp_path):
+        path = tmp_path / "gs.qnls"
+        write_groundstate_archive(replace(gs_n3, restarts=2), path)
+        assert read_groundstate_archive(path).restarts == 2
+        # an archive written before the restarts line existed reads as 0
+        path.write_bytes(path.read_bytes().replace(b"restarts=2\n", b""))
+        assert read_groundstate_archive(path).restarts == 0
+
+    @pytest.mark.parametrize("line", [b"J=", b"iterations=", b"pohozaev_dev="])
+    def test_missing_trailer_field(self, gs_n3, tmp_path, line):
+        path = tmp_path / "gs.qnls"
+        write_groundstate_archive(gs_n3, path)
+        data = path.read_bytes()
+        start = data.index(b"\n" + line) + 1
+        path.write_bytes(data[:start] + data[data.index(b"\n", start) + 1:])
+        with pytest.raises(ValueError) as info:
+            read_groundstate_archive(path)
+        assert str(path) in str(info.value)
+        assert repr(line[:-1].decode()) in str(info.value)
 
 
 class TestQuotientMinimality:

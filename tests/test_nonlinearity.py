@@ -253,6 +253,28 @@ class TestCompiledPlans:
             assert m.eval_fk(z, out=out) is out
             self.assert_close(out, f_ref)
 
+    @pytest.mark.parametrize("model", [builtin_model("shg3"), builtin_model("cascade3"),
+                                       builtin_model("uv2")], ids=lambda m: m.name)
+    def test_real_input_stays_real(self, model):
+        y = np.random.default_rng(14).normal(size=(model.l, 7, 5))
+        f = model.eval_fk(y)
+        assert f.dtype == np.float64
+        assert f.tobytes() == np.real(model.eval_fk(y.astype(complex))).tobytes()
+        F = model.eval_F(y)
+        assert F.dtype == np.float64
+        assert F.tobytes() == np.real(model.eval_F(y.astype(complex))).tobytes()
+
+    def test_complex_coefficients_keep_real_input_complex(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("\n".join(FILE_MODEL) + "\n")
+        m = read_model_file(path)
+        y = np.random.default_rng(15).normal(size=(m.l, 9))
+        f, f_ref = m.eval_fk(y), m.eval_fk(y.astype(complex))
+        assert np.iscomplexobj(f)
+        assert np.all(np.imag(f_ref) != 0.0)
+        assert np.array_equal(f, f_ref)
+        assert np.array_equal(m.eval_F(y), m.eval_F(y.astype(complex)))
+
     def test_input_untouched(self):
         m = builtin_model("cascade3")
         z = np.random.default_rng(13).normal(size=(3, 8)) + 0j
