@@ -18,8 +18,8 @@ values.  Every scenario writes ``report.txt`` (human-readable) and
 tolerance, pass) into the output directory and exits 0 iff all criteria
 pass.  Scenarios that run a monitored evolution also record its outcome
 under ``"run"``: status, the monitor that fired, accepted and rejected
-steps, the final dt and the detection time.  ``QNLS_THREADS`` caps the
-linear-algebra thread pools.
+steps, the final and the smallest dt and the detection time.
+``QNLS_THREADS`` caps the linear-algebra thread pools.
 """
 
 from __future__ import annotations

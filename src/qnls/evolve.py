@@ -15,14 +15,14 @@ is a new array; the input of a substep is never written.  On
 Cartesian grids the linear step is the exact Fourier multiplier
 exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k); on radial grids it is a
 Crank-Nicolson step on the tridiagonal finite-difference Laplacian A_h
-(unconditionally stable, second order).  With c_k = i dt/(2 alpha_k) it
-solves
+(unconditionally stable, second order).  With c_k = i dt/(2 alpha_k) and
+M_k = (1 + c_k beta_k) I - c_k gamma_k A_h it solves
 
-    ((1 + c_k beta_k) I - c_k gamma_k A_h) u_k' = (1 - c_k beta_k) u_k + c_k gamma_k A_h u_k,
+    M_k u_k' = (1 - c_k beta_k) u_k + c_k gamma_k A_h u_k = 2 u_k - M_k u_k,
 
-building the right-hand side by a three-band product with the real bands
-of A_h and solving with LU factors of the left-hand matrices that are
-computed once per step size and kept per dt; only the factors are stored.
+that is u_k' = 2 M_k^{-1} u_k - u_k, so no right-hand side is formed: one
+block-tridiagonal solve over the stacked components, with LU factors of
+the M_k computed once per step size and kept per dt, then one update.
 Either way the scheme is globally second order in dt.
 
 The nonlinear substep leaves the pointwise weighted density
@@ -37,17 +37,18 @@ initial value, a sup norm passes a cap, or adaptive halving drives dt below
 its floor.  Non-finite values abort the run.  Full functional snapshots are
 taken only at sample times; in adaptive mode the steps between samples
 check just the charge (already computed by the step-size controller), the
-kinetic functional and the sup norm.
+kinetic functional and the sup norm, on the raw component array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grids
-from .functionals import FunctionalSnapshot, charge, kinetic, snapshot_of
+from .functionals import FunctionalSnapshot, snapshot_of
 from .grids import FieldState, GridSpec
 
 COMPLETED = "completed"
@@ -116,6 +117,9 @@ class EvolutionOutcome:
     (adaptive halving went below dt_min), "nonfinite" (aborted), or None
     when the run reached t_end.  rejected counts adaptive step attempts
     discarded by the charge-drift controller; steps counts accepted ones.
+    dt_smallest is the smallest step size the controller reached (the
+    configured dt when it never halved); after "dt_floor" it is the size
+    that fell below dt_min.
     """
 
     status: str
@@ -126,10 +130,12 @@ class EvolutionOutcome:
     dt_final: float = field(default=float("nan"))
     monitor: str | None = None
     rejected: int = 0
+    dt_smallest: float = field(default=float("nan"))
 
     def as_json(self) -> dict:
         return {"status": self.status, "monitor": self.monitor, "t_detect": self.t_detect,
-                "steps": self.steps, "rejected": self.rejected, "dt_final": self.dt_final}
+                "steps": self.steps, "rejected": self.rejected, "dt_final": self.dt_final,
+                "dt_smallest": self.dt_smallest}
 
 
 class Stepper:
@@ -140,6 +146,7 @@ class Stepper:
         self.grid = grid
         shape_ones = (1,) * len(grid.shape)
         self._ia = (1j / model.coeffs.alpha).reshape((model.l,) + shape_ones)
+        self._charge_weights = model.coeffs.alpha**2 / model.coeffs.gamma
         # per dt: Fourier phases (Cartesian) or the factored solver (radial)
         self._lin_cache: dict[float, object] = {}
         self._stages = np.empty((3, model.l) + grid.shape, dtype=complex)
@@ -166,20 +173,25 @@ class Stepper:
         return data
 
     def linear_step(self, comps: np.ndarray, dt: float) -> np.ndarray:
-        model, grid = self.model, self.grid
+        grid = self.grid
         if grid.kind == grids.CARTESIAN:
             phases = self._linear_data(dt)
             axes = tuple(range(-grid.n, 0))
             return np.fft.ifftn(phases * np.fft.fftn(comps, axes=axes), axes=axes)
-        solve = self._linear_data(dt)
-        ab = grids.radial_laplacian_banded(grid)
-        # A_h u from the three real bands, for all components at once
-        lap = ab[1] * comps
-        lap[:, :-1] += ab[0, 1:] * comps[:, 1:]
-        lap[:, 1:] += ab[2, :-1] * comps[:, :-1]
-        c = (1j * dt / (2.0 * model.coeffs.alpha))[:, None]
-        g, b = model.coeffs.gamma[:, None], model.coeffs.beta[:, None]
-        return solve(comps + c * (g * lap - b * comps))
+        out = self._linear_data(dt)(comps)  # M^{-1} u, a new array
+        out *= 2.0
+        out -= comps
+        return out
+
+    # -- adaptive monitors ---------------------------------------------------
+
+    def charge(self, comps: np.ndarray) -> float:
+        """functionals.charge of a component stack, without a FieldState."""
+        return grids.weighted_norm_sq(self.grid, self._charge_weights, comps)
+
+    def kinetic(self, comps: np.ndarray) -> float:
+        """functionals.kinetic of a component stack, without a FieldState."""
+        return grids.weighted_grad_sq(self.grid, self.model.coeffs.gamma, comps)
 
     # -- nonlinear substep ---------------------------------------------------
 
@@ -230,9 +242,10 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     comps = np.array(state.components)
     t = state.t
     t_end = state.t + config.t_end
-    dt = config.dt
+    dt = dt_smallest = config.dt
     diag = DiagnosticsSeries([snapshot_of(state, with_variance=with_variance)])
-    K0 = max(diag[0].K, np.finfo(float).tiny)
+    tiny = np.finfo(float).tiny
+    K0 = max(diag[0].K, tiny)
     q_prev = diag[0].Q
     status, t_detect, monitor = COMPLETED, None, None
     steps = rejected = clean_steps = 0
@@ -242,13 +255,13 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
         new = stepper.step(comps, dt_eff)
         if config.adaptive:
             while True:
-                trial = state.with_components(new, t + dt_eff)
-                q_new = charge(trial)
-                drift = abs(q_new - q_prev) / max(abs(q_prev), np.finfo(float).tiny)
-                if drift <= config.step_drift_tol or not np.isfinite(drift):
+                q_new = stepper.charge(new)
+                drift = abs(q_new - q_prev) / max(abs(q_prev), tiny)
+                if drift <= config.step_drift_tol or not math.isfinite(drift):
                     break
                 rejected += 1
                 dt = dt_eff = dt_eff / 2.0
+                dt_smallest = min(dt_smallest, dt)
                 clean_steps = 0
                 if dt_eff < config.dt_min:
                     break
@@ -263,7 +276,7 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
                 clean_steps = 0
             # blow-up is fast once started: watch the cheap monitors per step
             amp = float(np.max(np.abs(new)))
-            if not np.isfinite(amp):
+            if not math.isfinite(amp):
                 status, t_detect, monitor = ABORTED, t, "nonfinite"
                 break
             if amp > config.blowup_linf:
@@ -278,10 +291,10 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
             diag.append(snap)
             Q, K, linf = snap.Q, snap.K, snap.linf
         elif config.adaptive:
-            Q, K, linf = q_new, kinetic(trial), (amp,)
+            Q, K, linf = q_new, stepper.kinetic(new), (amp,)
         else:
             continue
-        if not all(np.isfinite([Q, K, *linf])):
+        if not all(map(math.isfinite, (Q, K, *linf))):
             status, t_detect, monitor = ABORTED, t, "nonfinite"
             break
         if K > config.blowup_K_factor * K0:
@@ -293,7 +306,7 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     final = state.with_components(comps, t)
     return EvolutionOutcome(status=status, final=final, diagnostics=diag,
                             t_detect=t_detect, steps=steps, dt_final=dt,
-                            monitor=monitor, rejected=rejected)
+                            monitor=monitor, rejected=rejected, dt_smallest=dt_smallest)
 
 
 # ---------------------------------------------------------------------------

@@ -42,12 +42,7 @@ def charge(state: FieldState) -> float:
 
 
 def kinetic(state: FieldState) -> float:
-    g = state.model.coeffs.gamma
-    if state.grid.kind == grids.RADIAL:
-        return grids.weighted_norm_sq(state.grid, g,
-                                      grids.radial_derivative(state.grid, state.components))
-    return float(sum(g[k] * grids.grad_sq_integral(state.grid, state.components[k])
-                     for k in range(state.l)))
+    return grids.weighted_grad_sq(state.grid, state.model.coeffs.gamma, state.components)
 
 
 def linear_term(state: FieldState) -> float:

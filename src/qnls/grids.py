@@ -33,7 +33,7 @@ import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import get_lapack_funcs
 
-from .nonlinearity import ModelSpec
+from .nonlinearity import ModelSpec, parse_fields
 
 CARTESIAN = "cartesian"
 RADIAL = "radial"
@@ -153,8 +153,8 @@ def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
 
     Row 0 holds the superdiagonal a[i-1, i] at column i, row 1 the diagonal
     and row 2 the subdiagonal a[i+1, i] at column i (the LAPACK band
-    layout).  The tridiagonal solves of :func:`radial_shifted_solver` and
-    the Crank-Nicolson right-hand side read their bands from here.
+    layout).  The tridiagonal solves of :func:`radial_shifted_solver` read
+    their bands from here.
     """
     if grid.kind != RADIAL:
         raise ValueError("banded Laplacian is only defined on radial grids")
@@ -177,29 +177,30 @@ def radial_shifted_solver(grid: GridSpec, shift, scale):
     """Return solve(rhs) applying (shift_k I - scale_k Lap_h)^{-1} to
     component k of a stack of radial fields.
 
-    Each of the tridiagonal matrices is factored once, here, by LAPACK's LU
-    with partial pivoting (?gttrf, real or complex as get_lapack_funcs picks
-    from the coefficients); solve only runs the triangular sweeps (?gttrs).
-    Only the factors are kept.  Raises LinAlgError when a matrix is singular.
+    The l tridiagonal matrices are factored once, here, as one
+    block-tridiagonal matrix of size l N whose sub- and superdiagonals are
+    zero at the block seams, by LAPACK's LU with partial pivoting (?gttrf,
+    real or complex as get_lapack_funcs picks from the coefficients); solve
+    runs one pair of triangular sweeps (?gttrs) over the flattened stack.
+    Pivoting never crosses a zero subdiagonal, so each block is factored
+    and solved exactly as it would be on its own.  Only the factors are
+    kept.  Raises LinAlgError when a matrix is singular.
     """
     ab = radial_laplacian_banded(grid)
-    factors = []
-    for s, c in zip(np.asarray(shift), np.asarray(scale)):
-        bands = (-c * ab[2, :-1], s - c * ab[1], -c * ab[0, 1:])
-        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
-        *lu, info = gttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
-        if info != 0:
-            raise LinAlgError(f"radial matrix is singular ({gttrf.typecode}gttrf info={info})")
-        factors.append((gttrs, lu))
+    shift, scale = np.asarray(shift)[:, None], np.asarray(scale)[:, None]
+    sub = -scale * np.concatenate([ab[2, :-1], [0.0]])
+    sup = -scale * np.concatenate([ab[0, 1:], [0.0]])
+    bands = (sub.ravel()[:-1], (shift - scale * ab[1]).ravel(), sup.ravel()[:-1])
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
+    *lu, info = gttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
+    if info != 0:
+        raise LinAlgError(f"radial matrix is singular ({gttrf.typecode}gttrf info={info})")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        out = []
-        for (gttrs, lu), b in zip(factors, rhs):
-            x, info = gttrs(*lu, b)
-            if info != 0:
-                raise LinAlgError(f"{gttrs.typecode}gttrs failed (info={info})")
-            out.append(x)
-        return np.stack(out)
+        x, info = gttrs(*lu, rhs.reshape(-1))
+        if info != 0:
+            raise LinAlgError(f"{gttrs.typecode}gttrs failed (info={info})")
+        return x.reshape(rhs.shape)
 
     return solve
 
@@ -249,16 +250,35 @@ def integrate(grid: GridSpec, values: np.ndarray) -> float:
     return float(np.sum(quadrature_weights(grid) * np.real(values)))
 
 
+def _abs_sq(values: np.ndarray) -> np.ndarray:
+    """|f|^2 pointwise as re^2 + im^2 (no square root)."""
+    if not np.iscomplexobj(values):
+        return np.square(values)
+    sq = np.square(values.real)
+    sq += np.square(values.imag)
+    return sq
+
+
 def norm_sq(grid: GridSpec, values: np.ndarray) -> float:
     """Quadrature of |f|^2."""
-    return float(np.sum(quadrature_weights(grid) * np.abs(values) ** 2))
+    return float(np.sum(quadrature_weights(grid) * _abs_sq(values)))
 
 
 def weighted_norm_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) -> float:
     """sum_k weights_k ||f_k||^2 over a stack of fields f_k (leading axis k)."""
     axes = tuple(range(1, values.ndim))
-    per_field = np.sum(quadrature_weights(grid) * np.abs(values) ** 2, axis=axes)
+    per_field = np.sum(quadrature_weights(grid) * _abs_sq(values), axis=axes)
     return float(np.sum(weights * per_field))
+
+
+def _radial_grad_sq(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Quadrature of |d/dr f|^2 per field (the last axis is r), without
+    building the derivative: as in :func:`radial_derivative`, d/dr f
+    vanishes at r = 0, is (f_{i+1} - f_{i-1})/(2h) at the interior nodes and
+    -f_{N-2}/(2h) at the last node, next to the Dirichlet value."""
+    w = quadrature_weights(grid)
+    interior = np.sum(w[1:-1] * _abs_sq(values[..., 2:] - values[..., :-2]), axis=-1)
+    return (interior + w[-1] * _abs_sq(values[..., -2])) / (2.0 * grid.h) ** 2
 
 
 def grad_sq_integral(grid: GridSpec, values: np.ndarray) -> float:
@@ -268,7 +288,14 @@ def grad_sq_integral(grid: GridSpec, values: np.ndarray) -> float:
         vhat = np.fft.fftn(values, axes=axes)
         return float(grid.h**grid.n / grid.N**grid.n
                      * np.sum(_cartesian_ksq(grid) * np.abs(vhat) ** 2))
-    return norm_sq(grid, radial_derivative(grid, values))
+    return float(_radial_grad_sq(grid, values))
+
+
+def weighted_grad_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) -> float:
+    """sum_k weights_k ||grad f_k||^2 over a stack of fields f_k (leading axis k)."""
+    if grid.kind == RADIAL:
+        return float(np.sum(weights * _radial_grad_sq(grid, values)))
+    return float(sum(w * grad_sq_integral(grid, f) for w, f in zip(weights, values)))
 
 
 @dataclass(frozen=True)
@@ -432,27 +459,6 @@ def write_snapshot(state: FieldState, path) -> None:
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(np.asarray(state.components, dtype="<c16").tobytes())
-
-
-def parse_fields(pairs, spec: dict) -> dict:
-    """{key: parse(value)} for each (key, parse) of spec, from "key=value"
-    strings (a later pair wins).  A pair without "=", a missing field or a
-    value that does not parse raises ValueError naming the field."""
-    fields = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise ValueError(f"field {pair!r} is not key=value")
-        fields[key.strip()] = value.strip()
-    out = {}
-    for key, parse in spec.items():
-        if key not in fields:
-            raise ValueError(f"missing field {key!r}")
-        try:
-            out[key] = parse(fields[key])
-        except ValueError as exc:
-            raise ValueError(f"bad field {key}={fields[key]!r}: {exc}") from None
-    return out
 
 
 def read_snapshot_raw(path, return_trailer: bool = False):

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import functionals, grids
 from .grids import FieldState, GridSpec
-from .nonlinearity import ModelSpec, model_lines, parse_model_lines
+from .nonlinearity import ModelSpec, model_lines, parse_fields, parse_model_lines
 
 
 class ConvergenceError(RuntimeError):
@@ -561,7 +561,7 @@ def read_groundstate_archive(path) -> GroundStateResult:
     spec.update(iterations=int, restarts=int, pohozaev_dev=_deviations)
     try:
         model = parse_model_lines(model_part.strip().splitlines())
-        kv = grids.parse_fields(["restarts=0"] + head.strip().splitlines(), spec)
+        kv = parse_fields(["restarts=0"] + head.strip().splitlines(), spec)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return GroundStateResult(model=model, grid=grid, profile=np.real(comps), **kv)

@@ -19,8 +19,10 @@ monomial) or by seeded random sampling on the unit polydisc.
 For evaluation, every term list is compiled once into a product plan: each
 monomial becomes its coefficient and the indices of its factors in the
 stacked operand [z; conj z], so z_1^2 conj(z_3) reads (c, (0, 0, l + 2)).
-The potential and each f_k are compiled when the model is built, and one
-executor runs all plans, writing each result into a preallocated array.
+The potential and the f_k are compiled when the model is built, each into
+a Program that also records which components appear conjugated and whether
+a scratch array is needed, and one executor runs a Program's plans with no
+further set-up, writing each result into a preallocated array.
 
 Checked properties, in the order they are reported:
 
@@ -76,6 +78,18 @@ def _collect(terms: list[Term]) -> list[Term]:
 Plan = tuple[tuple[float | complex, tuple[int, ...]], ...]
 
 
+class Program(NamedTuple):
+    """Product plans compiled together, with what their executor needs to
+    know about them worked out once: the components that appear conjugated,
+    whether some plan sums several monomials (and so needs a scratch
+    array), and every coefficient (for np.result_type)."""
+
+    plans: tuple[Plan, ...]
+    conjugated: tuple[int, ...]
+    needs_scratch: bool
+    coefficients: tuple[float | complex, ...]
+
+
 def compile_terms(terms: list[Term]) -> Plan:
     """Product plan of a term list: (coeff, factors) per monomial.
 
@@ -95,7 +109,15 @@ def compile_terms(terms: list[Term]) -> Plan:
     return tuple(plan)
 
 
-def eval_terms(plans: tuple[Plan, ...], z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def compile_program(l: int, term_lists) -> Program:
+    """Compile one plan per term list over l components into a Program."""
+    plans = tuple(compile_terms(terms) for terms in term_lists)
+    conjugated = sorted({i - l for plan in plans for _, factors in plan for i in factors if i >= l})
+    return Program(plans, tuple(conjugated), any(len(p) > 1 for p in plans),
+                   tuple(coeff for plan in plans for coeff, _ in plan))
+
+
+def eval_terms(program: Program, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate compiled plans at z (shape (l,) or (l, ...) for gridded fields).
 
     Row m of the result, shape (len(plans),) + z.shape[1:], holds plan m.
@@ -109,13 +131,13 @@ def eval_terms(plans: tuple[Plan, ...], z: np.ndarray, out: np.ndarray | None = 
     """
     l = z.shape[0]
     if out is None:
-        dtype = np.result_type(z, *(coeff for plan in plans for coeff, _ in plan))
-        out = np.empty((len(plans),) + z.shape[1:], dtype=dtype)
+        dtype = np.result_type(z, *program.coefficients)
+        out = np.empty((len(program.plans),) + z.shape[1:], dtype=dtype)
     operands = list(z) + [None] * l
-    for j in {i - l for plan in plans for _, factors in plan for i in factors if i >= l}:
+    for j in program.conjugated:
         operands[l + j] = np.conj(z[j])
-    scratch = np.empty(z.shape[1:], dtype=out.dtype) if any(len(p) > 1 for p in plans) else None
-    for m, plan in enumerate(plans):
+    scratch = np.empty(z.shape[1:], dtype=out.dtype) if program.needs_scratch else None
+    for m, plan in enumerate(program.plans):
         row = out[m, ...]
         if not plan:
             row[...] = 0.0
@@ -163,14 +185,15 @@ class TrilinearPotential:
     l: int
     terms: tuple[Monomial, ...]
 
-    plan: Plan = field(default=(), init=False, repr=False, compare=False)
+    program: Program = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
         for m in self.terms:
             if len(m.powers) != self.l:
                 raise ValueError("all terms must have the component count l")
-        object.__setattr__(self, "plan", compile_terms([m.as_term() for m in self.terms]))
+        object.__setattr__(self, "program",
+                           compile_program(self.l, [[m.as_term() for m in self.terms]]))
 
     def __call__(self, z) -> np.ndarray | complex:
         return self.eval(z)
@@ -181,7 +204,7 @@ class TrilinearPotential:
         z = np.asarray(z)
         if z.shape[0] != self.l:
             raise ValueError(f"expected {self.l} components, got {z.shape[0]}")
-        return eval_terms((self.plan,), z)[0]
+        return eval_terms(self.program, z)[0]
 
     def real_restriction(self) -> list[tuple[float, tuple[int, ...]]]:
         """F as a real polynomial of the real vector y (valid under H7)."""
@@ -271,7 +294,7 @@ class ModelSpec:
     potential: TrilinearPotential
     fk: tuple = field(default=None)  # derived; filled in __post_init__
     name: str = "custom"
-    fk_plans: tuple[Plan, ...] = field(default=(), init=False, repr=False, compare=False)
+    fk_program: Program = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.coeffs.l != self.potential.l:
@@ -280,7 +303,7 @@ class ModelSpec:
         if self.fk is not None and tuple(tuple(ts) for ts in self.fk) != derived:
             raise ValueError("fk must be the Wirtinger derivative of the potential")
         object.__setattr__(self, "fk", derived)
-        object.__setattr__(self, "fk_plans", tuple(compile_terms(ts) for ts in derived))
+        object.__setattr__(self, "fk_program", compile_program(self.l, derived))
 
     @property
     def l(self) -> int:
@@ -300,7 +323,7 @@ class ModelSpec:
         z = np.asarray(z)
         if z.shape[0] != self.l:
             raise ValueError(f"expected {self.l} components, got {z.shape[0]}")
-        return eval_terms(self.fk_plans, z, out)
+        return eval_terms(self.fk_program, z, out)
 
 
 # ---------------------------------------------------------------------------
@@ -611,41 +634,67 @@ def model_lines(model: ModelSpec) -> list[str]:
     return lines
 
 
+def parse_fields(pairs, spec: dict) -> dict:
+    """{key: parse(value)} for each (key, parse) of spec, from "key=value"
+    strings (a later pair wins).  A pair without "=", a missing field or a
+    value that does not parse raises ValueError naming the field."""
+    fields = {}
+    for pair in pairs:
+        key, sep, value = pair.partition("=")
+        if not sep:
+            raise ValueError(f"field {pair!r} is not key=value")
+        fields[key.strip()] = value.strip()
+    out = {}
+    for key, parse in spec.items():
+        if key not in fields:
+            raise ValueError(f"missing field {key!r}")
+        try:
+            out[key] = parse(fields[key])
+        except ValueError as exc:
+            raise ValueError(f"bad field {key}={fields[key]!r}: {exc}") from None
+    return out
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in text.split(","))
+
+
+def _term(value: str) -> Monomial:
+    """The monomial of a term line's value "<re>,<im>;p=<csv>;q=<csv>"."""
+    coeff, *exponents = value.split(";")
+    re_im = _floats(coeff)
+    if len(re_im) != 2:
+        raise ValueError(f"coefficient {coeff!r} is not <re>,<im>")
+    pq = parse_fields(exponents, {"p": _ints, "q": _ints})
+    return Monomial(complex(*re_im), pq["p"], pq["q"])
+
+
 def parse_model_lines(lines) -> ModelSpec:
-    fields: dict[str, str] = {}
-    terms: list[Monomial] = []
+    """Model from the lines of a model file.  A malformed line, a missing
+    field or a value that does not parse raises ValueError naming the field."""
+    pairs, terms = [], []
     for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key == "term":
-            coeff_part, *rest = value.split(";")
-            re_s, im_s = coeff_part.split(",")
-            p = q = None
-            for piece in rest:
-                pk, _, pv = piece.partition("=")
-                if pk.strip() == "p":
-                    p = tuple(int(v) for v in pv.split(","))
-                elif pk.strip() == "q":
-                    q = tuple(int(v) for v in pv.split(","))
-            if p is None or q is None:
-                raise ValueError(f"malformed term line: {line!r}")
-            terms.append(Monomial(complex(float(re_s), float(im_s)), p, q))
-        else:
-            fields[key] = value.strip()
-    try:
-        l = int(fields["l"])
-        alpha = np.array([float(v) for v in fields["alpha"].split(",")])
-        gamma = np.array([float(v) for v in fields["gamma"].split(",")])
-        beta = np.array([float(v) for v in fields["beta"].split(",")])
-    except KeyError as exc:
-        raise ValueError(f"model file missing field {exc}") from exc
-    coeffs = CoefficientSet(alpha=alpha, gamma=gamma, beta=beta)
-    if coeffs.l != l:
-        raise ValueError("declared l does not match coefficient length")
-    return ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=l, terms=tuple(terms)),
+        if key.strip() != "term":
+            pairs.append(line)
+            continue
+        try:
+            terms.append(_term(value))
+        except ValueError as exc:
+            raise ValueError(f"bad field term={value.strip()!r}: {exc}") from None
+    h = parse_fields(pairs, {"l": int, "alpha": _floats, "gamma": _floats, "beta": _floats})
+    coeffs = CoefficientSet(alpha=np.array(h["alpha"]), gamma=np.array(h["gamma"]),
+                            beta=np.array(h["beta"]))
+    if coeffs.l != h["l"]:
+        raise ValueError(f"bad field l={h['l']}: alpha, gamma and beta have {coeffs.l} values")
+    return ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=h["l"], terms=tuple(terms)),
                      name="file")
 
 
@@ -655,5 +704,10 @@ def write_model_file(model: ModelSpec, path) -> None:
 
 
 def read_model_file(path) -> ModelSpec:
+    """Read a model file; a malformed one raises ValueError naming the file
+    and the field."""
     with open(path) as fh:
-        return parse_model_lines(fh.readlines())
+        try:
+            return parse_model_lines(fh.readlines())
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(f"{path}: {exc}") from None

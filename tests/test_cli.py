@@ -112,7 +112,7 @@ def test_evolve_scenario(tmp_path):
     assert header.startswith("t,Q,E,K,L,P,V,Vp,linf_1")
     run = json.loads((out / "report.json").read_text())["run"]
     assert run == {"status": "completed", "monitor": None, "t_detect": None,
-                   "steps": 200, "rejected": 0, "dt_final": 1e-3}
+                   "steps": 200, "rejected": 0, "dt_final": 1e-3, "dt_smallest": 1e-3}
 
 
 def test_virial_scenario(tmp_path):

@@ -6,7 +6,7 @@ from qnls.evolve import (DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
                          pseudo_conformal_solution, pseudo_conformal_with_rate,
                          run_with_monitors, standing_wave, standing_wave_with_rate,
                          virial_check)
-from qnls.grids import FieldState, GridSpec, norm_sq
+from qnls.grids import FieldState, GridSpec, apply_laplacian, norm_sq
 from qnls.groundstate import elliptic_residual, petviashvili_solve
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, TrilinearPotential,
                                builtin_model)
@@ -89,6 +89,26 @@ class TestLinearEvolution:
             exact = np.exp(1j * dt * w[k]) * mode
             errs[dt] = np.max(np.abs(amp - exact))
         assert errs[4e-2] / errs[2e-2] == pytest.approx(8.0, rel=0.3)  # local order 3
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_radial_update_equals_explicit_right_hand_side(self, dim):
+        # u' = 2 M^{-1} u - u against M^{-1}((1 - c beta) u + c gamma A_h u),
+        # M = (1 + c beta) I - c gamma A_h, c = i dt/(2 alpha), by a dense solve
+        m = builtin_model("shg3", beta=(0.5, 1.0, 0.25))
+        g = GridSpec("radial", dim, 128, 10.0)
+        rng = np.random.default_rng(dim)
+        u = rng.normal(size=(3, 128)) + 1j * rng.normal(size=(3, 128))
+        dt = 1e-3
+        a, gam, b = m.coeffs.alpha, m.coeffs.gamma, m.coeffs.beta
+        lap = np.stack([apply_laplacian(g, np.eye(128)[:, j]) for j in range(128)], axis=1)
+        ref = []
+        for k in range(3):
+            c = 1j * dt / (2.0 * a[k])
+            rhs = (1 - c * b[k]) * u[k] + c * gam[k] * (lap @ u[k])
+            ref.append(np.linalg.solve((1 + c * b[k]) * np.eye(128) - c * gam[k] * lap, rhs))
+        ref = np.array(ref)
+        out = Stepper(m, g).linear_step(u, dt)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 class TestNonlinearSubstep:
@@ -306,10 +326,11 @@ class TestMonitors:
                            step_drift_tol=1e-15)
         out = run_with_monitors(gs_shg3_cart.state, cfg, with_variance=False)
         assert (out.status, out.monitor, out.t_detect) == ("blown_up", "dt_floor", 0.0)
-        assert (out.steps, out.rejected, out.dt_final) == (0, 1, 5e-3)
+        assert (out.steps, out.rejected, out.dt_final, out.dt_smallest) == (0, 1, 5e-3, 5e-3)
         out = run_with_monitors(gs_shg3_cart.state, EvolveConfig(dt=1e-2, t_end=0.05))
         assert out.as_json() == {"status": "completed", "monitor": None, "t_detect": None,
-                                 "steps": 5, "rejected": 0, "dt_final": 1e-2}
+                                 "steps": 5, "rejected": 0, "dt_final": 1e-2,
+                                 "dt_smallest": 1e-2}
 
     def test_adaptive_outcome_independent_of_sampling(self):
         # the per-step monitors between samples see the same values as a full
@@ -323,11 +344,43 @@ class TestMonitors:
         dense, sparse = outs
         assert dense.status == "blown_up" and dense.monitor == "kinetic"
         assert dense.rejected > 0
-        for name in ("status", "monitor", "t_detect", "steps", "rejected", "dt_final"):
+        for name in ("status", "monitor", "t_detect", "steps", "rejected", "dt_final",
+                     "dt_smallest"):
             assert getattr(sparse, name) == getattr(dense, name)
         assert len(dense.diagnostics) == dense.steps + 1
         assert list(sparse.diagnostics) == list(dense.diagnostics)[::10]
         assert np.array_equal(sparse.final.components, dense.final.components)
+
+
+class TestStepMonitors:
+    @pytest.mark.parametrize("name", ["shg3", "cascade3", "uv2"])
+    @pytest.mark.parametrize("kind,dim,points", [("radial", 1, 64), ("radial", 3, 100),
+                                                 ("radial", 5, 257), ("cartesian", 1, 64),
+                                                 ("cartesian", 2, 32)])
+    def test_lean_monitor_equals_functionals(self, name, kind, dim, points):
+        # the adaptive loop's per-step Q and K read the raw array; they must
+        # be the functionals of the same state, bit for bit
+        m = builtin_model(name, beta=0.5)
+        g = GridSpec(kind, dim, points, 7.0)
+        rng = np.random.default_rng(points + dim)
+        shape = (m.l,) + g.shape
+        comps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stepper, st = Stepper(m, g), FieldState(m, g, comps, 0.0)
+        assert stepper.charge(comps) == fn.charge(st)
+        assert stepper.kinetic(comps) == fn.kinetic(st)
+
+    def test_smallest_dt_recorded(self):
+        # every accepted step is sampled, so the smallest sample spacing is
+        # the smallest step size the controller reached
+        gs = petviashvili_solve(builtin_model("shg3"), 1.0, GridSpec("radial", 5, 128, 12.0))
+        data = FieldState(gs.model, gs.grid, 1.2 * gs.profile.astype(complex), 0.0)
+        out = run_with_monitors(data, EvolveConfig(
+            dt=1e-3, t_end=5.0, sample_every=1, blowup_K_factor=2.0, adaptive=True,
+            dt_min=1e-7, step_drift_tol=1e-5), with_variance=False)
+        assert out.rejected > 0
+        spacing = np.diff(out.diagnostics.column("t"))
+        assert out.dt_smallest == pytest.approx(np.min(spacing), rel=1e-9)
+        assert out.dt_smallest < 1e-3 and out.as_json()["dt_smallest"] == out.dt_smallest
 
 
 class TestChirp:

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs, solve_banded
 
 from qnls.grids import (Field, FieldState, GridSpec, apply_laplacian,
                         boundary_mass_fraction, grad_sq_integral, gradient_components,
                         integrate, laplacian, momentum_density_integral,
-                        multiply_by_radius_sq, norm_sq,
-                        radial_laplacian_banded, radial_shifted_solver,
+                        multiply_by_radius_sq, norm_sq, quadrature_weights,
+                        radial_derivative, radial_laplacian_banded, radial_shifted_solver,
                         read_snapshot, read_snapshot_raw,
                         symmetric_decreasing_rearrangement, write_snapshot)
 from qnls.nonlinearity import builtin_model
@@ -132,6 +132,22 @@ class TestRadialOperators:
         assert np.max(np.abs(dense @ v - apply_laplacian(g, v))) < 1e-12
 
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_quadratures_match_derivative_and_modulus(self, n, dtype):
+        # the squared norms skip the square root and the derivative array;
+        # against the plain formulas they agree to rounding
+        g = GridSpec("radial", n, 301, 9.0)
+        rng = np.random.default_rng(n)
+        v = rng.normal(size=301).astype(dtype)
+        if dtype is complex:
+            v += 1j * rng.normal(size=301)
+        w = quadrature_weights(g)
+        grad_ref = np.sum(w * np.abs(radial_derivative(g, v)) ** 2)
+        assert grad_sq_integral(g, v) == pytest.approx(grad_ref, rel=1e-14, abs=0.0)
+        assert norm_sq(g, v) == pytest.approx(np.sum(w * np.abs(v) ** 2), rel=1e-14, abs=0.0)
+
+
 def _banded_reference(grid, shift, scale, rhs):
     """(shift_k I - scale_k Lap_h)^{-1} rhs_k by scipy's general banded solver."""
     lap = radial_laplacian_banded(grid)
@@ -140,6 +156,22 @@ def _banded_reference(grid, shift, scale, rhs):
         ab = -c * lap
         ab[1] += s
         out.append(solve_banded((1, 1), ab, b))
+    return np.array(out)
+
+
+def _per_component_reference(grid, shift, scale, rhs):
+    """(shift_k I - scale_k Lap_h)^{-1} rhs_k by one LAPACK ?gttrf/?gttrs
+    pair per component."""
+    ab = radial_laplacian_banded(grid)
+    out = []
+    for s, c, b in zip(shift, scale, rhs):
+        bands = (-c * ab[2, :-1], s - c * ab[1], -c * ab[0, 1:])
+        gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
+        *lu, info = gttrf(*bands)
+        assert info == 0
+        x, info = gttrs(*lu, b)
+        assert info == 0
+        out.append(x)
     return np.array(out)
 
 
@@ -173,6 +205,25 @@ class TestFactoredRadialSolve:
         rng = np.random.default_rng(seed)
         b, gamma = 10.0 ** rng.uniform(-2.0, 1.0, l), rng.uniform(0.1, 5.0, l)
         self.assert_matches(grid, b, gamma, rng.normal(size=(l, grid.N)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(grid=radial_grids, l=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+           dt=st.floats(1e-6, 1.0), real=st.booleans())
+    def test_block_solve_equals_per_component_solves(self, grid, l, seed, dt, real):
+        # one block factorization of the stack against one ?gttrf/?gttrs pair
+        # per component: pivoting never crosses a zero seam, so bit for bit
+        rng = np.random.default_rng(seed)
+        if real:
+            shift, scale = 10.0 ** rng.uniform(-2.0, 1.0, l), rng.uniform(0.1, 5.0, l)
+            rhs = rng.normal(size=(l, grid.N))
+        else:
+            c = 1j * dt / (2.0 * rng.uniform(0.2, 4.0, l))
+            shift, scale = 1.0 + c * rng.uniform(-2.0, 2.0, l), c * rng.uniform(0.1, 5.0, l)
+            rhs = rng.normal(size=(l, grid.N)) + 1j * rng.normal(size=(l, grid.N))
+        x = radial_shifted_solver(grid, shift, scale)(rhs)
+        ref = _per_component_reference(grid, shift, scale, rhs)
+        assert x.dtype == ref.dtype and x.shape == rhs.shape
+        assert np.array_equal(x, ref)
 
     def test_singular_matrix_raises(self):
         # a zero diagonal with zero off-diagonals leaves a zero pivot

@@ -449,6 +449,23 @@ class TestModelFiles:
             parse_model_lines(["l=2", "alpha=1,1", "gamma=1,1", "beta=0,0",
                                "term=1.0,0.0;p=0,1"])  # q missing
 
+    @pytest.mark.parametrize("line,field", [
+        ("term=1.0;p=3;q=0", "term"),             # coefficient without an imaginary part
+        ("term=1.0,0.0;p=x;q=0,0", "p"),          # exponent that is not an integer
+        ("alpha=1,", "alpha"),                    # trailing comma
+    ])
+    def test_malformed_file_names_file_and_field(self, tmp_path, line, field):
+        path = tmp_path / "model.txt"
+        good = ["l=2", "alpha=1,1", "gamma=1,1", "beta=0,0", "term=1.0,0.0;p=0,1;q=2,0"]
+        key = line.partition("=")[0]
+        lines = [ln for ln in good if not ln.startswith(key + "=")] + [line]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_model_file(path)
+        assert type(info.value) is ValueError
+        assert str(path) in str(info.value)
+        assert f"{field}=" in str(info.value)
+
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             builtin_model("nope")
