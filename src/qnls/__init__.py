@@ -29,8 +29,7 @@ from .nonlinearity import (CoefficientSet, HypothesisReport, ModelSpec, Monomial
                            check_supermodularity, derive_fk, read_model_file,
                            validate_model, write_model_file)
 from .grids import (Field, FieldState, GridSpec, apply_laplacian, grad_sq_integral,
-                    integrate, laplacian, momentum_density_integral,
-                    multiply_by_radius_sq, norm_sq, read_snapshot,
+                    integrate, momentum_density_integral, norm_sq, read_snapshot,
                     symmetric_decreasing_rearrangement, write_snapshot)
 from .functionals import (FunctionalSnapshot, ThresholdReport, action, charge, energy,
                           interaction, kinetic, linear_term, local_virial_rhs,

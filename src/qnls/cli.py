@@ -120,21 +120,26 @@ class ExperimentReport:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Flat key = value entries under [section] headers -> 'section.key'."""
+    """Flat key = value entries under [section] headers -> 'section.key'.
+    A malformed file raises ValueError naming the file and the field."""
     out: dict[str, str] = {}
     section = ""
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"bad config line: {raw!r}")
-        full = f"{section}.{key.strip()}" if section else key.strip()
-        out[full] = value.strip()
+    try:
+        for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip()
+                continue
+            key, sep, value = line.partition("=")
+            if not sep or not key.strip():
+                raise ValueError(f"line {lineno}: field {line!r} in [{section}] "
+                                 "is not key = value")
+            full = f"{section}.{key.strip()}" if section else key.strip()
+            out[full] = value.strip()
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
     return out
 
 
@@ -199,7 +204,10 @@ def build_settings(args) -> Settings:
         for key, value in parse_config_file(args.config).items():
             if key in _CONFIG_KEYS:
                 attr, conv = _CONFIG_KEYS[key]
-                setattr(st, attr, conv(value))
+                try:
+                    setattr(st, attr, conv(value))
+                except ValueError as exc:
+                    raise ValueError(f"{args.config}: bad field {key}={value!r}: {exc}") from None
     for attr in ("model", "model_file", "kappa", "chi", "beta", "kind", "dim", "points",
                  "extent", "omega", "dt", "t_end", "sample_every", "seed", "out",
                  "archive", "nu", "amplitude", "eps", "lam", "T", "tol"):

@@ -11,19 +11,11 @@ classical RK4, a full linear step, another nonlinear half step.  The RK4
 stages are built in three stage buffers owned by the stepper (stage input,
 current slope, running slope sum) with in-place ufuncs, the couplings are
 written straight into the slope buffer, and only the result of a substep
-is a new array; the input of a substep is never written.  On
-Cartesian grids the linear step is the exact Fourier multiplier
-exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k); on radial grids it is a
-Crank-Nicolson step on the tridiagonal finite-difference Laplacian A_h
-(unconditionally stable, second order).  With c_k = i dt/(2 alpha_k) and
-M_k = (1 + c_k beta_k) I - c_k gamma_k A_h it solves
-
-    M_k u_k' = (1 - c_k beta_k) u_k + c_k gamma_k A_h u_k = 2 u_k - M_k u_k,
-
-that is u_k' = 2 M_k^{-1} u_k - u_k, so no right-hand side is formed: one
-block-tridiagonal solve over the stacked components, with LU factors of
-the M_k computed once per step size and kept per dt, then one update.
-Either way the scheme is globally second order in dt.
+is a new array; the input of a substep is never written.  The linear step
+is :func:`qnls.grids.propagator`, built once per step size: exact Fourier
+phases on Cartesian grids, Crank-Nicolson on the finite-difference
+Laplacian on radial grids.  Either way the scheme is globally second order
+in dt.
 
 The nonlinear substep leaves the pointwise weighted density
 sum_k (alpha_k^2/gamma_k) |u_k|^2 invariant whenever the couplings satisfy
@@ -147,41 +139,18 @@ class Stepper:
         shape_ones = (1,) * len(grid.shape)
         self._ia = (1j / model.coeffs.alpha).reshape((model.l,) + shape_ones)
         self._charge_weights = model.coeffs.alpha**2 / model.coeffs.gamma
-        # per dt: Fourier phases (Cartesian) or the factored solver (radial)
-        self._lin_cache: dict[float, object] = {}
+        self._propagators: dict[float, object] = {}  # per dt, see grids.propagator
         self._stages = np.empty((3, model.l) + grid.shape, dtype=complex)
 
     # -- linear substep ----------------------------------------------------
 
-    def _linear_data(self, dt: float):
-        data = self._lin_cache.get(dt)
-        if data is not None:
-            return data
-        model, grid = self.model, self.grid
-        if grid.kind == grids.CARTESIAN:
-            ksq = grids._cartesian_ksq(grid)
-            phases = np.stack([
-                np.exp(1j * dt / model.coeffs.alpha[k]
-                       * (-model.coeffs.gamma[k] * ksq - model.coeffs.beta[k]))
-                for k in range(model.l)])
-            data = phases
-        else:
-            c = 1j * dt / (2.0 * model.coeffs.alpha)
-            data = grids.radial_shifted_solver(grid, 1.0 + c * model.coeffs.beta,
-                                               c * model.coeffs.gamma)
-        self._lin_cache[dt] = data
-        return data
-
     def linear_step(self, comps: np.ndarray, dt: float) -> np.ndarray:
-        grid = self.grid
-        if grid.kind == grids.CARTESIAN:
-            phases = self._linear_data(dt)
-            axes = tuple(range(-grid.n, 0))
-            return np.fft.ifftn(phases * np.fft.fftn(comps, axes=axes), axes=axes)
-        out = self._linear_data(dt)(comps)  # M^{-1} u, a new array
-        out *= 2.0
-        out -= comps
-        return out
+        step = self._propagators.get(dt)
+        if step is None:
+            c = self.model.coeffs
+            step = self._propagators[dt] = grids.propagator(self.grid, dt, c.alpha, c.beta,
+                                                            c.gamma)
+        return step(comps)
 
     # -- adaptive monitors ---------------------------------------------------
 
@@ -335,14 +304,6 @@ def standing_wave(profile: FieldState, omega: float, t: float) -> FieldState:
     return FieldState(profile.model, profile.grid, phases * profile.components, t)
 
 
-def standing_wave_with_rate(profile: FieldState, omega: float, t: float):
-    state = standing_wave(profile, omega, t)
-    sigma = profile.model.coeffs.sigma
-    shape_ones = (1,) * len(profile.grid.shape)
-    rate = (1j * sigma * omega).reshape((profile.l,) + shape_ones) * state.components
-    return state, rate
-
-
 def pseudo_conformal_solution(profile: FieldState, T: float, t: float) -> FieldState:
     """Explicit blow-up family from a four-dimensional frequency-1 profile.
 
@@ -384,13 +345,10 @@ def pde_residual(state: FieldState, dudt: np.ndarray) -> np.ndarray:
     """Sup norm per component of i alpha_k du_k/dt + gamma_k Lap u_k
     - beta_k u_k + f_k(u) under the discrete spatial operators."""
     model, grid = state.model, state.grid
-    lap = grids.apply_laplacian(grid, state.components)
-    f = model.eval_fk(state.components)
     shape_ones = (1,) * len(grid.shape)
     a = model.coeffs.alpha.reshape((model.l,) + shape_ones)
-    g = model.coeffs.gamma.reshape((model.l,) + shape_ones)
-    b = model.coeffs.beta.reshape((model.l,) + shape_ones)
-    res = 1j * a * dudt + g * lap - b * state.components + f
+    lhs = grids.shifted_apply(grid, model.coeffs.beta, model.coeffs.gamma, state.components)
+    res = 1j * a * dudt - lhs + model.eval_fk(state.components)
     return np.max(np.abs(res), axis=tuple(range(1, res.ndim)))
 
 

@@ -32,6 +32,7 @@ from scipy.special import betainc
 
 from . import grids
 from .grids import FieldState
+from .nonlinearity import parse_fields
 
 BOUNDARY_MASS_WARN = 1e-6
 
@@ -354,12 +355,14 @@ def snapshot_of(state: FieldState, with_variance: bool = True) -> FunctionalSnap
                               P=P, V=V, Vp=Vp, linf=tuple(state.linf()))
 
 
+def _csv_columns(l: int) -> list[str]:
+    return ["t", "Q", "E", "K", "L", "P", "V", "Vp"] + [f"linf_{k + 1}" for k in range(l)]
+
+
 def write_diagnostics_csv(snapshots, path_or_buf) -> None:
     if not snapshots:
         raise ValueError("no snapshots to write")
-    l = len(snapshots[0].linf)
-    header = "t,Q,E,K,L,P,V,Vp," + ",".join(f"linf_{k+1}" for k in range(l))
-    lines = [header]
+    lines = [",".join(_csv_columns(len(snapshots[0].linf)))]
     for s in snapshots:
         vals = [s.t, s.Q, s.E, s.K, s.L, s.P, s.V, s.Vp, *s.linf]
         lines.append(",".join(repr(float(v)) for v in vals))
@@ -372,15 +375,28 @@ def write_diagnostics_csv(snapshots, path_or_buf) -> None:
 
 
 def read_diagnostics_csv(path) -> list[FunctionalSnapshot]:
+    """Read a file of write_diagnostics_csv.  A malformed file (header, column
+    count or value) raises ValueError naming the file and the field."""
     out = []
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        l = sum(1 for name in header if name.startswith("linf_"))
-        for line in fh:
-            if not line.strip():
-                continue
-            vals = [float(v) for v in line.split(",")]
-            out.append(FunctionalSnapshot(t=vals[0], Q=vals[1], E=vals[2], K=vals[3],
-                                          L=vals[4], P=vals[5], V=vals[6], Vp=vals[7],
-                                          linf=tuple(vals[8:8 + l])))
+        try:
+            names = fh.readline().strip().split(",")
+            if len(names) < 9 or names != _csv_columns(len(names) - 8):
+                raise ValueError(f"bad header {','.join(names)!r}: expected "
+                                 "t,Q,E,K,L,P,V,Vp,linf_1,...")
+            spec = dict.fromkeys(names, float)
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                row = line.split(",")
+                if len(row) != len(names):
+                    raise ValueError(f"line {lineno} has {len(row)} fields, "
+                                     f"expected {len(names)}")
+                try:
+                    vals = list(parse_fields(map("=".join, zip(names, row)), spec).values())
+                except ValueError as exc:
+                    raise ValueError(f"line {lineno}: {exc}") from None
+                out.append(FunctionalSnapshot(*vals[:8], linf=tuple(vals[8:])))
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(f"{path}: {exc}") from None
     return out

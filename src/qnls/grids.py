@@ -21,6 +21,13 @@ Two grid kinds cover the laboratory:
 Truncation at R_max is justified by the exponential decay of the localized
 profiles this grid is meant for; callers pick R_max so the tail is below
 rounding relative to the peak.
+
+The operator -gamma_k Lap + b_k of every solver, stepper and residual is
+discretized here only: :func:`apply_laplacian` (on radial grids the product
+with the bands of :func:`radial_laplacian_banded`, the one place the radial
+stencil is written), :func:`shifted_apply` and its inverse
+:func:`shifted_solver`, the linear substep :func:`propagator`, and the
+kinetic functional :func:`weighted_grad_sq`.
 """
 
 from __future__ import annotations
@@ -153,8 +160,9 @@ def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
 
     Row 0 holds the superdiagonal a[i-1, i] at column i, row 1 the diagonal
     and row 2 the subdiagonal a[i+1, i] at column i (the LAPACK band
-    layout).  The tridiagonal solves of :func:`radial_shifted_solver` read
-    their bands from here.
+    layout).  It is the one place the radial stencil is written:
+    :func:`apply_laplacian` multiplies by these bands and
+    :func:`shifted_solver` factors them.
     """
     if grid.kind != RADIAL:
         raise ValueError("banded Laplacian is only defined on radial grids")
@@ -173,19 +181,29 @@ def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
     return ab
 
 
-def radial_shifted_solver(grid: GridSpec, shift, scale):
+def shifted_solver(grid: GridSpec, shift, scale):
     """Return solve(rhs) applying (shift_k I - scale_k Lap_h)^{-1} to
-    component k of a stack of radial fields.
+    component k of a stack of fields.
 
-    The l tridiagonal matrices are factored once, here, as one
-    block-tridiagonal matrix of size l N whose sub- and superdiagonals are
-    zero at the block seams, by LAPACK's LU with partial pivoting (?gttrf,
-    real or complex as get_lapack_funcs picks from the coefficients); solve
-    runs one pair of triangular sweeps (?gttrs) over the flattened stack.
-    Pivoting never crosses a zero subdiagonal, so each block is factored
-    and solved exactly as it would be on its own.  Only the factors are
-    kept.  Raises LinAlgError when a matrix is singular.
+    Cartesian grids divide the half spectrum of a real right-hand side by
+    shift_k + scale_k |xi|^2 (real coefficients; the result is real).  Radial
+    grids factor the l tridiagonal matrices once, here, as one block-tridiagonal
+    matrix of size l N with zero sub- and superdiagonals at the block seams
+    (LAPACK's LU with partial pivoting, ?gttrf, real or complex as
+    get_lapack_funcs picks from the coefficients); solve runs one ?gttrs over
+    the flattened stack.  Pivoting never crosses a zero subdiagonal, so each
+    block is factored and solved exactly as it would be on its own.  Raises
+    LinAlgError when a radial matrix is singular.
     """
+    if grid.kind == CARTESIAN:
+        ksq = _cartesian_half_ksq(grid)
+        denom = np.stack([c * ksq + s for s, c in zip(shift, scale)])
+        axes = tuple(range(-grid.n, 0))
+
+        def solve(rhs: np.ndarray) -> np.ndarray:
+            return np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=grid.shape, axes=axes)
+
+        return solve
     ab = radial_laplacian_banded(grid)
     shift, scale = np.asarray(shift)[:, None], np.asarray(scale)[:, None]
     sub = -scale * np.concatenate([ab[2, :-1], [0.0]])
@@ -213,18 +231,47 @@ def apply_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
             return np.fft.ifftn(-_cartesian_ksq(grid) * np.fft.fftn(values, axes=axes), axes=axes)
         spectrum = -_cartesian_half_ksq(grid) * np.fft.rfftn(values, axes=axes)
         return np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
-    n, h = grid.n, grid.h
-    r = grid.axis()
-    lap = np.zeros_like(values)
-    lap[..., 0] = 2.0 * n * (values[..., 1] - values[..., 0]) / h**2
-    d2 = np.zeros_like(values[..., 1:])
-    d2[..., :-1] = values[..., 2:] - 2.0 * values[..., 1:-1] + values[..., :-2]
-    d2[..., -1] = -2.0 * values[..., -1] + values[..., -2]  # f(R_max) = 0
-    d1 = np.zeros_like(values[..., 1:])
-    d1[..., :-1] = values[..., 2:] - values[..., :-2]
-    d1[..., -1] = -values[..., -2]
-    lap[..., 1:] = d2 / h**2 + (n - 1) / (2.0 * h * r[1:]) * d1
+    ab = radial_laplacian_banded(grid)
+    lap = ab[1] * values
+    lap[..., :-1] += ab[0, 1:] * values[..., 1:]
+    lap[..., 1:] += ab[2, :-1] * values[..., :-1]
     return lap
+
+
+def shifted_apply(grid: GridSpec, shift, scale, values: np.ndarray) -> np.ndarray:
+    """shift_k u_k - scale_k Lap_h u_k for each field u_k of a stack (leading axis k)."""
+    ones = (1,) * len(grid.shape)
+    shift, scale = np.reshape(shift, (-1,) + ones), np.reshape(scale, (-1,) + ones)
+    return shift * values - scale * apply_laplacian(grid, values)
+
+
+def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
+    """Return step(u), the linear substep of length dt of
+    d_t u_k = (i/alpha_k)(gamma_k Lap u_k - beta_k u_k) for a stack u, as a
+    new array: the exact Fourier phases exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k)
+    on Cartesian grids; on radial grids Crank-Nicolson, which with
+    c_k = i dt/(2 alpha_k) and M_k = (1 + c_k beta_k) I - c_k gamma_k Lap_h
+    solves M_k u_k' = 2 u_k - M_k u_k, that is u_k' = 2 M_k^{-1} u_k - u_k.
+    """
+    if grid.kind == CARTESIAN:
+        ksq = _cartesian_ksq(grid)
+        # built per component: one broadcast over the stack slows the later FFTs
+        phases = np.stack([np.exp(1j * dt / a * (-g * ksq - b))
+                           for a, b, g in zip(alpha, beta, gamma)])
+        axes = tuple(range(-grid.n, 0))
+
+        def step(u: np.ndarray) -> np.ndarray:
+            return np.fft.ifftn(phases * np.fft.fftn(u, axes=axes), axes=axes)
+
+        return step
+    c = 1j * dt / (2.0 * alpha)
+    solve = shifted_solver(grid, 1.0 + c * beta, c * gamma)
+
+    def step(u: np.ndarray) -> np.ndarray:
+        out = solve(u)  # M^{-1} u, a new array
+        return np.subtract(np.multiply(out, 2.0, out=out), u, out=out)
+
+    return step
 
 
 def radial_derivative(grid: GridSpec, values: np.ndarray) -> np.ndarray:
@@ -347,15 +394,6 @@ class FieldState:
     def linf(self) -> np.ndarray:
         axes = tuple(range(1, self.components.ndim))
         return np.max(np.abs(self.components), axis=axes)
-
-
-def laplacian(field: Field) -> Field:
-    return Field(field.grid, apply_laplacian(field.grid, field.values))
-
-
-def multiply_by_radius_sq(field: Field) -> Field:
-    """Pointwise |x|^2 f, the integrand factor of the variance."""
-    return Field(field.grid, radius_sq(field.grid) * field.values)
 
 
 def momentum_density_integral(state: FieldState, k: int) -> float:

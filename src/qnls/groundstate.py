@@ -60,34 +60,10 @@ class GroundStateResult:
         return FieldState(self.model, self.grid, self.profile, 0.0)
 
 
-def _linear_solver(model: ModelSpec, grid: GridSpec, b: np.ndarray):
-    """Return a function applying (-gamma_k Lap + b_k)^{-1} componentwise to
-    real right-hand sides; the result is real."""
-    if grid.kind == grids.CARTESIAN:
-        ksq = grids._cartesian_half_ksq(grid)
-        denom = np.stack([model.coeffs.gamma[k] * ksq + b[k] for k in range(model.l)])
-        axes = tuple(range(-grid.n, 0))
-
-        def solve(rhs):
-            return np.fft.irfftn(np.fft.rfftn(rhs, axes=axes) / denom, s=grid.shape, axes=axes)
-
-        return solve
-    return grids.radial_shifted_solver(grid, b, model.coeffs.gamma)
-
-
-def _elliptic_sides(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray):
-    """(-gamma_k Lap psi_k + b_k psi_k, f_k(psi)), real for a real psi and
-    a model with real coefficients."""
-    shape_ones = (1,) * len(grid.shape)
-    g = model.coeffs.gamma.reshape((model.l,) + shape_ones)
-    bb = np.asarray(b).reshape((model.l,) + shape_ones)
-    return -g * grids.apply_laplacian(grid, psi) + bb * psi, model.eval_fk(psi)
-
-
 def elliptic_residual(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray) -> float:
     """Sup norm of -gamma_k Lap psi_k + b_k psi_k - f_k(psi)."""
-    lhs, f = _elliptic_sides(model, grid, psi, b)
-    return float(np.max(np.abs(lhs - f)))
+    lhs = grids.shifted_apply(grid, b, model.coeffs.gamma, psi)
+    return float(np.max(np.abs(lhs - model.eval_fk(psi))))
 
 
 def _default_init(model: ModelSpec, grid: GridSpec, amplitudes) -> np.ndarray:
@@ -119,7 +95,7 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
         raise ValueError("no nontrivial localized solutions for n >= 6 "
                          "(the weighted-mass identity forces Qcal <= 0)")
     b = model.coeffs.b(omega)
-    solve = _linear_solver(model, grid, b)
+    solve = grids.shifted_solver(grid, b, model.coeffs.gamma)
     w = grids.quadrature_weights(grid)
 
     tilts = [np.ones(model.l),
@@ -142,20 +118,23 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
 
 def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
                           damping):
-    """The fixed-point loop.  The two sides of the stationary system are
-    computed once per iterate: the residual test of one iteration and the
-    update of the next share them."""
+    """The fixed-point loop.  The two sides of the stationary system,
+    (-gamma_k Lap + b_k) psi_k and f_k(psi), are computed once per iterate:
+    the residual test of one iteration and the update of the next share them."""
     def quad(x):
         return float(np.sum(w * x))
 
+    def sides(psi):
+        return grids.shifted_apply(grid, b, model.coeffs.gamma, psi), model.eval_fk(psi)
+
     # rescale so the first stabilization factor is 1: S(c psi) = S(psi)/c
-    lhs, fk = _elliptic_sides(model, grid, psi, b)
+    lhs, fk = sides(psi)
     A = quad(np.sum(lhs * psi, axis=0))
     B = quad(np.sum(fk.real * psi, axis=0))
     if B <= 0:
         raise ConvergenceError("interaction pairing non-positive on the initial guess")
     psi = (A / B) * psi
-    lhs, fk = _elliptic_sides(model, grid, psi, b)
+    lhs, fk = sides(psi)
 
     # roundoff floor of the residual: dominated by the origin row of the
     # difference operator, eps * (2n/h^2) * gamma * |psi|
@@ -178,7 +157,7 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
         psi = np.maximum((1.0 - damping) * psi + damping * S**2 * solve(f), 0.0)
         # drop the old iterate's fields before the new ones are allocated
         f = lhs = fk = None
-        lhs, fk = _elliptic_sides(model, grid, psi, b)
+        lhs, fk = sides(psi)
         res = float(np.max(np.abs(lhs - fk)))
         if res < tol and abs(S - 1.0) < tol:
             return _finalize(model, grid, omega, psi, res, iteration)
@@ -302,20 +281,17 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
     if nu <= 0:
         raise ValueError("nu must be positive")
     w_charge = (model.coeffs.alpha**2 / model.coeffs.gamma)
-    shape_ones = (1,) * len(grid.shape)
-    gam = model.coeffs.gamma.reshape((model.l,) + shape_ones)
-    bet = model.coeffs.beta.reshape((model.l,) + shape_ones)
-    wc = w_charge.reshape((model.l,) + shape_ones)
+    wc = w_charge.reshape((model.l,) + (1,) * len(grid.shape))
 
     def functionals_of(phi):
-        state = FieldState(model, grid, phi, 0.0)
-        return functionals.kinetic(state), functionals.interaction(state)
+        return (grids.weighted_grad_sq(grid, model.coeffs.gamma, phi),
+                grids.integrate(grid, model.eval_F(phi)))
 
     phi = np.array(init, dtype=float) if init is not None \
         else _default_init(model, grid, np.ones(model.l))
     phi *= np.sqrt(nu / grids.weighted_norm_sq(grid, w_charge, phi))
     K, P = functionals_of(phi)
-    E = K + functionals.linear_term(FieldState(model, grid, phi, 0.0)) - 2 * P
+    E = K + grids.weighted_norm_sq(grid, model.coeffs.beta, phi) - 2 * P
 
     solver_cache: dict[float, object] = {}
     iterations = 0
@@ -327,7 +303,8 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
         # (-gamma Lap + beta + 1/tau) trial = phi/tau + f + theta w phi
         solver = solver_cache.get(tau)
         if solver is None:
-            solver = _linear_solver(model, grid, 1.0 / tau + model.coeffs.beta)
+            solver = grids.shifted_solver(grid, 1.0 / tau + model.coeffs.beta,
+                                          model.coeffs.gamma)
             solver_cache[tau] = solver
         trial = solver(phi / tau + f + theta * wc * phi)
         trial *= np.sqrt(nu / grids.weighted_norm_sq(grid, w_charge, trial))
@@ -343,7 +320,8 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
         theta = (K - 3.0 * P) / nu
         if iterations % 20 == 0 or iterations < 10:
             f = model.eval_fk(phi).real
-            el = -gam * grids.apply_laplacian(grid, phi) + bet * phi - f - theta * wc * phi
+            el = (grids.shifted_apply(grid, model.coeffs.beta, model.coeffs.gamma, phi)
+                  - f - theta * wc * phi)
             residual = float(np.max(np.abs(el)))
             if residual < tol:
                 break

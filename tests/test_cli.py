@@ -37,6 +37,22 @@ def test_bad_config_line(tmp_path):
         parse_config_file(cfg)
 
 
+@pytest.mark.parametrize("data,field", [
+    (b"[grid]\nkind radial\n", "'kind radial'"),           # no "="
+    (b"[grid]\n = 3\n", "'= 3'"),                          # no key
+    (b"[grid]\nkind = radial\xff\n", "utf-8"),            # undecodable byte
+    (b"[grid]\npoints = x\n", "grid.points='x'"),          # value that does not convert
+], ids=["no-equals", "no-key", "non-utf8", "bad-value"])
+def test_malformed_config_names_file_and_field(tmp_path, data, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(data)
+    with pytest.raises(ValueError) as info:
+        main(["validate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert type(info.value) is ValueError
+    assert str(cfg) in str(info.value)
+    assert field in str(info.value)
+
+
 def test_validate_builtin_passes(tmp_path):
     out = tmp_path / "rep"
     code = main(["validate", "--model", "cascade3", "--out", str(out)])

@@ -355,3 +355,24 @@ class TestDiagnosticsCSV:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             fn.write_diagnostics_csv([], tmp_path / "x.csv")
+
+    GOOD = "t,Q,E,K,L,P,V,Vp,linf_1\n0.0,1.0,2.0,3.0,4.0,5.0,6.0,7.0,8.0\n"
+
+    @pytest.mark.parametrize("text,field", [
+        (GOOD.replace("3.0", "x"), "K='x'"),
+        (GOOD.replace("8.0", "x"), "linf_1='x'"),
+        (GOOD.replace(",8.0", ""), "8 fields, expected 9"),
+        (GOOD.replace(",8.0", ",8.0,9.0"), "10 fields, expected 9"),
+        (GOOD.replace("K,", "k,"), "header"),
+        (GOOD.replace(",linf_1", ""), "header"),
+        ("", "header"),
+    ], ids=["bad-value", "bad-linf", "short-row", "long-row", "renamed-column",
+            "no-linf", "empty"])
+    def test_malformed_file_names_file_and_field(self, tmp_path, text, field):
+        path = tmp_path / "diag.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            fn.read_diagnostics_csv(path)
+        assert type(info.value) is ValueError
+        assert str(path) in str(info.value)
+        assert field in str(info.value)

@@ -6,7 +6,7 @@ import pytest
 from qnls import functionals as fn
 from qnls import grids
 from qnls.grids import FieldState, GridSpec
-from qnls.groundstate import (ConvergenceError, _linear_solver, amplified_initializer,
+from qnls.groundstate import (ConvergenceError, amplified_initializer,
                               constrained_minimize, dilated_initializer,
                               elliptic_residual, instability_initializer, lambda_star,
                               mass_preserving_dilation, modulated_distance,
@@ -117,18 +117,19 @@ class TestPetviashvili:
 
 
 class TestResolvent:
-    @pytest.mark.parametrize("n,N", [(1, 64), (1, 63), (2, 32), (2, 31), (3, 16), (3, 15)])
+    @pytest.mark.parametrize("kind,n,N", [
+        *[pytest.param("cartesian", n, N, id=f"{n}-{N}")
+          for n, N in [(1, 64), (1, 63), (2, 32), (2, 31), (3, 16), (3, 15)]],
+        *[("radial", n, N) for n in range(1, 6) for N in (16, 63, 256)]])
     @pytest.mark.parametrize("name", ["shg3", "uv2"])
-    def test_inverts_the_operator(self, name, n, N):
+    def test_inverts_the_operator(self, name, kind, n, N):
         m = builtin_model(name)
-        g = GridSpec("cartesian", n, N, 3.0)
+        g = GridSpec(kind, n, N, 3.0)
         b = m.coeffs.b(1.0)
         f = np.random.default_rng(N).normal(size=(m.l,) + g.shape)
-        u = _linear_solver(m, g, b)(f)
+        u = grids.shifted_solver(g, b, m.coeffs.gamma)(f)
         assert u.dtype == np.float64 and u.shape == f.shape
-        shape = (m.l,) + (1,) * n
-        back = (-m.coeffs.gamma.reshape(shape) * grids.apply_laplacian(g, u)
-                + b.reshape(shape) * u)
+        back = grids.shifted_apply(g, b, m.coeffs.gamma, u)
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
 
 
