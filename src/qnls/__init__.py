@@ -38,14 +38,13 @@ from .functionals import (FunctionalSnapshot, ThresholdReport, action, charge, e
                           virial_rhs_gradient_form, weighted_mass, weinstein_infimum,
                           weinstein_quotient)
 from .evolve import (DiagnosticsSeries, EvolutionOutcome, EvolveConfig, pde_residual,
-                     pseudo_conformal_solution, run_with_monitors, standing_wave,
+                     pseudo_conformal_with_rate, run_with_monitors, standing_wave,
                      virial_check)
 from .groundstate import (ConstrainedMinResult, ConvergenceError, GroundStateResult,
                           InstabilityData5D, amplified_initializer,
-                          constrained_minimize, dilated_initializer,
-                          instability_data, instability_initializer, lambda_star,
-                          modulated_distance, normalize_KQ1, petviashvili_solve,
-                          pohozaev_check, read_groundstate_archive, scale_to_solution,
-                          write_groundstate_archive, xi1_of)
+                          constrained_minimize, dilated_initializer, instability_data,
+                          lambda_star, modulated_distance, normalize_KQ1,
+                          petviashvili_solve, read_groundstate_archive,
+                          scale_to_solution, write_groundstate_archive)
 
 __version__ = "0.1.0"

@@ -27,15 +27,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import functionals as fn
 from . import grids
-from .evolve import (EvolveConfig, pseudo_conformal_solution, pseudo_conformal_with_rate,
-                     pde_residual, run_with_monitors, virial_check)
+from .evolve import (EvolveConfig, pde_residual, pseudo_conformal_with_rate,
+                     run_with_monitors, virial_check)
 from .grids import FieldState, GridSpec
 from .groundstate import (amplified_initializer, constrained_minimize, dilated_initializer,
                           lambda_star, mass_preserving_dilation, modulated_distance,
@@ -208,12 +208,10 @@ def build_settings(args) -> Settings:
                     setattr(st, attr, conv(value))
                 except ValueError as exc:
                     raise ValueError(f"{args.config}: bad field {key}={value!r}: {exc}") from None
-    for attr in ("model", "model_file", "kappa", "chi", "beta", "kind", "dim", "points",
-                 "extent", "omega", "dt", "t_end", "sample_every", "seed", "out",
-                 "archive", "nu", "amplitude", "eps", "lam", "T", "tol"):
-        val = getattr(args, attr, None)
+    for f in fields(Settings):
+        val = getattr(args, f.name, None)
         if val is not None:
-            setattr(st, attr, val)
+            setattr(st, f.name, val)
     return st
 
 
@@ -229,6 +227,16 @@ def _gaussian_state(model, grid, amplitudes) -> FieldState:
     rsq = grids.radius_sq(grid)
     comps = np.stack([a * np.exp(-rsq) for a in amplitudes]).astype(complex)
     return FieldState(model, grid, comps, 0.0)
+
+
+def _collapse_config(st: Settings) -> EvolveConfig:
+    """The adaptive n = 5 collapse run of blowup and stability: blow-up on a
+    tenfold kinetic growth.  Any solution on the global branch of the blowup
+    family c psi keeps K below 1.52 K(0) for all time, so that growth with
+    collapsing dt is unambiguous divergence."""
+    return EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every,
+                        blowup_K_factor=10.0, blowup_linf=1e4, adaptive=True,
+                        dt_min=1e-7, step_drift_tol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -337,9 +345,9 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
     if n == 4:
         T = st.T
         samples = [0.0, 0.25 * T, 0.5 * T, 0.75 * T, 0.9 * T]
-        Qs = [fn.charge(pseudo_conformal_solution(gs.state, T, t)) for t in samples]
-        Ks = [fn.kinetic(pseudo_conformal_solution(gs.state, T, t)) * (T - t) ** 2
-              for t in samples]
+        states = [pseudo_conformal_with_rate(gs.state, T, t)[0] for t in samples]
+        Qs = [fn.charge(s) for s in states]
+        Ks = [fn.kinetic(s) * (T - t) ** 2 for s, t in zip(states, samples)]
         rep.check("charge constancy", max(abs(q - Qs[0]) for q in Qs) / Qs[0], 0.0, 1e-8,
                   compare="le", provenance="explicit self-similar family")
         rep.check("kinetic (T-t)^2 constancy", max(abs(k - Ks[0]) for k in Ks) / Ks[0],
@@ -355,13 +363,7 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
                   provenance="log2 of the residual ratio under N doubling")
     elif n == 5:
         data = FieldState(gs.model, gs.grid, st.amplitude * gs.profile.astype(complex), 0.0)
-        # any solution on the global branch of this family keeps K below
-        # 1.52 K(0) for all time, so a tenfold kinetic growth with collapsing
-        # dt is unambiguous divergence
-        cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every,
-                           blowup_K_factor=10.0, blowup_linf=1e4, adaptive=True,
-                           dt_min=1e-7, step_drift_tol=1e-6)
-        out = run_with_monitors(data, cfg, with_variance=False)
+        out = run_with_monitors(data, _collapse_config(st), with_variance=False)
         rep.run = out.as_json()
         expected_status = "blown_up" if st.amplitude > 1 else "completed"
         rep.check(f"run status {expected_status}",
@@ -382,8 +384,8 @@ def cmd_stability(st: Settings) -> ExperimentReport:
     if n <= 3:
         rng = np.random.default_rng(st.seed)
         pert = rng.normal(size=gs.profile.shape) + 1j * rng.normal(size=gs.profile.shape)
-        gnorm = np.sqrt(sum(grids.norm_sq(gs.grid, gs.profile[k]) for k in range(gs.model.l)))
-        pnorm = np.sqrt(sum(grids.norm_sq(gs.grid, pert[k]) for k in range(gs.model.l)))
+        gnorm = np.sqrt(grids.norm_sq(gs.grid, gs.profile))
+        pnorm = np.sqrt(grids.norm_sq(gs.grid, pert))
         pert *= st.eps * gnorm / pnorm
         data = FieldState(gs.model, gs.grid, gs.profile + pert, 0.0)
         cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
@@ -414,10 +416,7 @@ def cmd_stability(st: Settings) -> ExperimentReport:
                       abs(measured - predicted) / abs(predicted), 0.0, 1e-3, compare="le")
         rep.check("lambda_star of the profile", lambda_star(gs.state), 1.0, 1e-3)
         data = dilated_initializer(gs.state, st.lam)
-        cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every,
-                           blowup_K_factor=10.0, blowup_linf=1e4, adaptive=True,
-                           dt_min=1e-7, step_drift_tol=1e-6)
-        out = run_with_monitors(data, cfg, with_variance=False)
+        out = run_with_monitors(data, _collapse_config(st), with_variance=False)
         rep.run = out.as_json()
         rep.check("dilated datum blows up", float(out.status == "blown_up"), 1.0, 0.0,
                   compare="true")

@@ -30,6 +30,11 @@ its floor.  Non-finite values abort the run.  Full functional snapshots are
 taken only at sample times; in adaptive mode the steps between samples
 check just the charge (already computed by the step-size controller), the
 kinetic functional and the sup norm, on the raw component array.
+
+The closed-form references are the standing wave e^{i sigma_k omega t} psi_k
+and the n = 4 self-similar blow-up family, whose one entry point
+:func:`pseudo_conformal_with_rate` returns the state and its time
+derivative; :func:`pde_residual` scores either against the discrete system.
 """
 
 from __future__ import annotations
@@ -138,7 +143,7 @@ class Stepper:
         self.grid = grid
         shape_ones = (1,) * len(grid.shape)
         self._ia = (1j / model.coeffs.alpha).reshape((model.l,) + shape_ones)
-        self._charge_weights = model.coeffs.alpha**2 / model.coeffs.gamma
+        self._charge_weights = model.coeffs.charge_weights
         self._propagators: dict[float, object] = {}  # per dt, see grids.propagator
         self._stages = np.empty((3, model.l) + grid.shape, dtype=complex)
 
@@ -304,19 +309,15 @@ def standing_wave(profile: FieldState, omega: float, t: float) -> FieldState:
     return FieldState(profile.model, profile.grid, phases * profile.components, t)
 
 
-def pseudo_conformal_solution(profile: FieldState, T: float, t: float) -> FieldState:
-    """Explicit blow-up family from a four-dimensional frequency-1 profile.
+def pseudo_conformal_with_rate(profile: FieldState, T: float, t: float):
+    """Explicit blow-up family from a four-dimensional frequency-1 profile:
+    the state at time t and its time derivative du/dt at fixed r.
 
     The fields live on the self-similarly shrunk copy of the profile grid
     (nodes r_i = (T-t) rho_i), which keeps the rescaled profile resolved
     uniformly in t and makes the discrete charge exactly t-independent.
     Valid for 0 <= t < T on radial n=4 grids of a beta=0 model.
     """
-    state, _ = pseudo_conformal_with_rate(profile, T, t)
-    return state
-
-
-def pseudo_conformal_with_rate(profile: FieldState, T: float, t: float):
     grid = profile.grid
     if grid.kind != grids.RADIAL or grid.n != 4:
         raise ValueError("the explicit blow-up family needs a radial n=4 profile")

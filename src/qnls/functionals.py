@@ -38,8 +38,8 @@ BOUNDARY_MASS_WARN = 1e-6
 
 
 def charge(state: FieldState) -> float:
-    w = state.model.coeffs.alpha**2 / state.model.coeffs.gamma
-    return grids.weighted_norm_sq(state.grid, w, state.components)
+    return grids.weighted_norm_sq(state.grid, state.model.coeffs.charge_weights,
+                                  state.components)
 
 
 def kinetic(state: FieldState) -> float:
@@ -95,10 +95,8 @@ def variance(state: FieldState, warn: bool = True) -> float:
             warnings.warn(
                 f"variance with {frac:.2e} of the mass within 10% of the box edge;"
                 " the coordinate weight |x|^2 is not periodic", stacklevel=2)
-    w = state.model.coeffs.alpha**2 / state.model.coeffs.gamma
-    rsq = grids.radius_sq(state.grid)
-    return float(sum(wk * grids.integrate(state.grid, rsq * np.abs(state.components[k]) ** 2)
-                     for k, wk in enumerate(w)))
+    dens = grids.weighted_density(state.model.coeffs.charge_weights, state.components)
+    return grids.integrate(state.grid, grids.radius_sq(state.grid) * dens)
 
 
 def variance_rate(state: FieldState) -> float:
@@ -255,9 +253,8 @@ def local_virial_rhs(state: FieldState, R: float) -> float:
     n = grid.n
     rho = grid.axis() / R
     gam = state.model.coeffs.gamma
-    grad_sq = sum(gam[k] * np.abs(grids.radial_derivative(grid, state.components[k])) ** 2
-                  for k in range(state.l))
-    mass = sum(gam[k] * np.abs(state.components[k]) ** 2 for k in range(state.l))
+    grad_sq = grids.weighted_density(gam, grids.radial_derivative(grid, state.components))
+    mass = grids.weighted_density(gam, state.components)
     reF = np.real(state.model.eval_F(state.components))
     term1 = 4.0 * grids.integrate(grid, chi_d2(rho) * grad_sq)
     term2 = -grids.integrate(grid, chi_bilaplacian(rho, n) / R**2 * mass)

@@ -122,11 +122,14 @@ def _cartesian_half_ksq(grid: GridSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _cartesian_coords(grid: GridSpec) -> tuple[np.ndarray, ...]:
+def _coords(grid: GridSpec) -> tuple[np.ndarray, ...]:
+    """One coordinate array per axis of grid.shape, broadcastable to it: the
+    Cartesian coordinates x_1..x_n, or (r,) on a radial grid."""
     x = grid.axis()
+    ndim = len(grid.shape)
     out = []
-    for axis in range(grid.n):
-        shape = [1] * grid.n
+    for axis in range(ndim):
+        shape = [1] * ndim
         shape[axis] = grid.N
         out.append(x.reshape(shape))
     return tuple(out)
@@ -135,10 +138,8 @@ def _cartesian_coords(grid: GridSpec) -> tuple[np.ndarray, ...]:
 @lru_cache(maxsize=64)
 def radius_sq(grid: GridSpec) -> np.ndarray:
     """|x|^2 on the grid (Cartesian coordinate values, or r^2 on radial)."""
-    if grid.kind == RADIAL:
-        return grid.axis() ** 2
     out = np.zeros(grid.shape)
-    for x in _cartesian_coords(grid):
+    for x in _coords(grid):
         out = out + x**2
     return out
 
@@ -311,6 +312,11 @@ def norm_sq(grid: GridSpec, values: np.ndarray) -> float:
     return float(np.sum(quadrature_weights(grid) * _abs_sq(values)))
 
 
+def weighted_density(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """sum_k weights_k |f_k|^2 pointwise over a stack of fields f_k (leading axis k)."""
+    return np.tensordot(weights, _abs_sq(values), axes=1)
+
+
 def weighted_norm_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) -> float:
     """sum_k weights_k ||f_k||^2 over a stack of fields f_k (leading axis k)."""
     axes = tuple(range(1, values.ndim))
@@ -342,6 +348,7 @@ def weighted_grad_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) ->
     """sum_k weights_k ||grad f_k||^2 over a stack of fields f_k (leading axis k)."""
     if grid.kind == RADIAL:
         return float(np.sum(weights * _radial_grad_sq(grid, values)))
+    # per component: one stacked fftn doubles the time and triples the peak memory
     return float(sum(w * grad_sq_integral(grid, f) for w, f in zip(weights, values)))
 
 
@@ -381,15 +388,8 @@ class FieldState:
     def l(self) -> int:
         return self.model.l
 
-    def field(self, k: int) -> Field:
-        return Field(self.grid, self.components[k])
-
     def with_components(self, components: np.ndarray, t: float | None = None) -> "FieldState":
         return FieldState(self.model, self.grid, components, self.t if t is None else t)
-
-    def on_grid(self, grid: GridSpec) -> "FieldState":
-        """Reinterpret the same samples on a dilated copy of the grid."""
-        return FieldState(self.model, grid, self.components, self.t)
 
     def linf(self) -> np.ndarray:
         axes = tuple(range(1, self.components.ndim))
@@ -400,12 +400,7 @@ def momentum_density_integral(state: FieldState, k: int) -> float:
     """Im int (grad u_k . x) conj(u_k) dx."""
     grid = state.grid
     u = state.components[k]
-    if grid.kind == RADIAL:
-        flux = radial_derivative(grid, u) * grid.axis() * np.conj(u)
-    else:
-        flux = np.zeros(grid.shape, dtype=complex)
-        for g, x in zip(gradient_components(grid, u), _cartesian_coords(grid)):
-            flux = flux + g * x * np.conj(u)
+    flux = sum(g * x * np.conj(u) for g, x in zip(gradient_components(grid, u), _coords(grid)))
     return integrate(grid, np.imag(flux))
 
 
@@ -416,17 +411,13 @@ def boundary_mass_fraction(state: FieldState) -> float:
     non-periodic coordinate; radial grids return the mass in the outer 10%.
     """
     grid = state.grid
-    sigma_w = state.model.coeffs.alpha**2 / state.model.coeffs.gamma
-    dens = np.tensordot(sigma_w, np.abs(state.components) ** 2, axes=(0, 0))
+    dens = weighted_density(state.model.coeffs.charge_weights, state.components)
     total = integrate(grid, dens)
     if total == 0.0:
         return 0.0
-    if grid.kind == RADIAL:
-        outside = grid.axis() > 0.9 * grid.extent
-    else:
-        outside = np.zeros(grid.shape, dtype=bool)
-        for x in _cartesian_coords(grid):
-            outside = outside | (np.abs(x) > 0.9 * grid.extent)
+    outside = np.zeros(grid.shape, dtype=bool)
+    for x in _coords(grid):
+        outside = outside | (np.abs(x) > 0.9 * grid.extent)
     tail = float(np.sum(quadrature_weights(grid)[outside] * dens[outside]))
     return tail / total
 

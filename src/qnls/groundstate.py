@@ -14,12 +14,17 @@ whose stabilizing exponent 2 = p/(p-1) sits inside the convergence window
 (1, 3] for the homogeneity degree p = 2 of the couplings.  Converged
 profiles are scored by the residual sup norm and by the three structural
 identities P = 2I, K = nI, Qcal = (6-n)I that every localized solution
-satisfies; their violation measures pure discretization error.
+satisfies; their violation measures pure discretization error.  Every
+:class:`GroundStateResult` carries these relative deviations as
+``pohozaev_dev``, and the sharp quotient xi1 follows from its Qcal through
+:func:`qnls.functionals.weinstein_infimum`.  No n >= 6 case arises: grids
+stop at n = 5.
 
 The same module hosts the charge-constrained energy minimization (gradient
 flow with renormalization), the sharp-quotient normalizations, the dilation
-and amplification initializers used in the stability experiments, and the
-symmetry-modded distance used to compare field states to a profile.
+(n = 5) and amplification (n = 4) initializers used in the instability
+experiments, and the symmetry-modded distance used to compare field states
+to a profile.
 """
 
 from __future__ import annotations
@@ -91,9 +96,6 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
     Raises ConvergenceError on stagnation or when the stabilization factor
     leaves [1e-6, 1e6].
     """
-    if grid.n >= 6:
-        raise ValueError("no nontrivial localized solutions for n >= 6 "
-                         "(the weighted-mass identity forces Qcal <= 0)")
     b = model.coeffs.b(omega)
     solve = grids.shifted_solver(grid, b, model.coeffs.gamma)
     w = grids.quadrature_weights(grid)
@@ -195,14 +197,6 @@ def _pohozaev_deviations(K, Qcal, P, I, n) -> tuple[float, float, float]:
     return (abs(P - 2.0 * I) / I, abs(K - n * I) / I, abs(Qcal - (6.0 - n) * I) / I)
 
 
-def pohozaev_check(result: GroundStateResult, n: int | None = None) -> tuple[float, float, float]:
-    """Relative deviations of (P - 2I, K - nI, Qcal - (6-n)I) from zero."""
-    n = result.grid.n if n is None else n
-    if n >= 6:
-        raise ValueError("no nontrivial localized solutions for n >= 6")
-    return _pohozaev_deviations(result.K, result.Qcal, result.P, result.I, n)
-
-
 # ---------------------------------------------------------------------------
 # scaling normalizations
 #
@@ -230,19 +224,12 @@ def scale_to_solution(state: FieldState, xi1: float, omega: float) -> tuple[Fiel
     discrete residual of the image is returned alongside it.
     """
     n = state.grid.n
-    if n >= 6:
-        raise ValueError("no stationary branch for n >= 6")
     t0 = 2.0 * xi1 / (6.0 - n)
     lam0 = np.sqrt((6.0 - n) / n)
     out = FieldState(state.model, state.grid.scaled(lam0), t0 * state.components, state.t)
     res = elliptic_residual(state.model, out.grid, np.real(out.components),
                             state.model.coeffs.b(omega))
     return out, res
-
-
-def xi1_of(result: GroundStateResult, n: int | None = None) -> float:
-    """Closed-form sharp quotient from the converged profile's Qcal."""
-    return functionals.weinstein_infimum(result.Qcal, result.grid.n if n is None else n)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +267,7 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
         raise ValueError("the constrained problem is posed for 1 <= n <= 3")
     if nu <= 0:
         raise ValueError("nu must be positive")
-    w_charge = (model.coeffs.alpha**2 / model.coeffs.gamma)
+    w_charge = model.coeffs.charge_weights
     wc = w_charge.reshape((model.l,) + (1,) * len(grid.shape))
 
     def functionals_of(phi):
@@ -396,17 +383,6 @@ def amplified_initializer(profile: FieldState, eps: float) -> tuple[FieldState, 
     return out, predicted_E
 
 
-def instability_initializer(profile: FieldState, eps_or_lambda: float) -> FieldState:
-    """Dimension-dispatched unstable datum: (1+eps) psi at n=4, the
-    mass-preserving dilation at n=5."""
-    n = profile.grid.n
-    if n == 4:
-        return amplified_initializer(profile, eps_or_lambda)[0]
-    if n == 5:
-        return dilated_initializer(profile, eps_or_lambda)
-    raise ValueError("instability constructions exist for n = 4 and n = 5")
-
-
 # ---------------------------------------------------------------------------
 # distances modulo the symmetry group
 
@@ -419,17 +395,21 @@ def _phase_period(sigma: np.ndarray) -> float:
     return 2.0 * np.pi * q
 
 
+def _vertex_offset(a: float, b: float, c: float) -> float:
+    """Offset, in sample spacings from the middle sample b, of the vertex of
+    the parabola through three equally spaced samples a, b, c."""
+    denom = a - 2 * b + c
+    return 0.5 * (a - c) / denom if denom != 0 else 0.0
+
+
 def _best_phase(sigma: np.ndarray, c: np.ndarray, period: float) -> float:
     """max over theta of Re sum_k exp(-i sigma_k theta) c_k."""
     thetas = np.linspace(0.0, period, 2048, endpoint=False)
     g = np.real(np.exp(-1j * np.outer(thetas, sigma)) @ c)
     j = int(np.argmax(g))
     # parabolic refinement on the periodic samples
-    gm, g0, gp = g[j - 1], g[j], g[(j + 1) % g.size]
-    denom = gm - 2 * g0 + gp
-    delta = 0.5 * (gm - gp) / denom if denom != 0 else 0.0
-    step = thetas[1] - thetas[0]
-    theta = thetas[j] + delta * step
+    delta = _vertex_offset(g[j - 1], g[j], g[(j + 1) % g.size])
+    theta = thetas[j] + delta * (thetas[1] - thetas[0])
     return float(np.real(np.exp(-1j * sigma * theta) @ c))
 
 
@@ -453,29 +433,23 @@ def modulated_distance(state: FieldState, reference: FieldState,
     w = grids.quadrature_weights(grid)
     u = state.components
     psi = reference.components
-    nu2 = float(sum(grids.norm_sq(grid, u[k]) for k in range(state.l)))
-    np2 = float(sum(grids.norm_sq(grid, psi[k]) for k in range(state.l)))
+    nu2 = grids.norm_sq(grid, u)
+    np2 = grids.norm_sq(grid, psi)
+    axes = tuple(range(1, u.ndim))
 
     def overlap_at(shift: float | None) -> float:
-        if shift is None:
-            c = np.array([np.sum(w * u[k] * np.conj(psi[k])) for k in range(state.l)])
-            return _best_phase(sigma, c, period)
-        ps = np.stack([spectral_shift(grid, psi[k], shift) for k in range(state.l)])
-        c = np.array([np.sum(w * u[k] * np.conj(ps[k])) for k in range(state.l)])
-        return _best_phase(sigma, c, period)
+        ps = psi if shift is None else spectral_shift(grid, psi, shift)
+        return _best_phase(sigma, np.sum(w * u * np.conj(ps), axis=axes), period)
 
     if grid.kind == grids.CARTESIAN and grid.n == 1:
-        corr = np.stack([np.fft.ifft(np.fft.fft(u[k]) * np.conj(np.fft.fft(psi[k]))) * grid.h
-                         for k in range(state.l)])
+        corr = np.fft.ifft(np.fft.fft(u) * np.conj(np.fft.fft(psi))) * grid.h
         thetas = np.linspace(0.0, period, 256, endpoint=False)
         g = np.real(np.tensordot(np.exp(-1j * np.outer(thetas, sigma)), corr, axes=(1, 0)))
         j = int(np.unravel_index(np.argmax(g), g.shape)[1])
         y0 = j * grid.h
         # parabolic refinement of the shift around the best grid offset
         vals = [overlap_at(y0 - grid.h), overlap_at(y0), overlap_at(y0 + grid.h)]
-        denom = vals[0] - 2 * vals[1] + vals[2]
-        delta = 0.5 * (vals[0] - vals[2]) / denom if denom != 0 else 0.0
-        best = overlap_at(y0 + delta * grid.h)
+        best = overlap_at(y0 + _vertex_offset(*vals) * grid.h)
         best = max(best, vals[1])
     else:
         best = overlap_at(None)
@@ -493,13 +467,9 @@ def peak_aligned_linf_error(state: FieldState, reference: FieldState) -> float:
         def peak(comps):
             dens = np.sum(np.abs(comps) ** 2, axis=0)
             j = int(np.argmax(dens))
-            dm, d0, dp = dens[j - 1], dens[j], dens[(j + 1) % dens.size]
-            denom = dm - 2 * d0 + dp
-            delta = 0.5 * (dm - dp) / denom if denom != 0 else 0.0
-            return (j + delta) * grid.h
+            return (j + _vertex_offset(dens[j - 1], dens[j], dens[(j + 1) % dens.size])) * grid.h
         shift = peak(state.components) - peak(reference.components)
-        moved = np.stack([spectral_shift(grid, state.components[k], -shift)
-                          for k in range(state.l)])
+        moved = spectral_shift(grid, state.components, -shift)
     else:
         moved = state.components
     return float(np.max(np.abs(moved - reference.components)))

@@ -272,6 +272,11 @@ class CoefficientSet:
         """Phase weights sigma_k = alpha_k / gamma_k of the coupled gauge action."""
         return self.alpha / self.gamma
 
+    @property
+    def charge_weights(self) -> np.ndarray:
+        """Charge weights alpha_k^2 / gamma_k: Q = sum_k (alpha_k^2/gamma_k) ||u_k||^2."""
+        return self.alpha**2 / self.gamma
+
     def omega_floor(self) -> float:
         """Frequencies below this leave some b_k non-positive."""
         return float(np.max(-self.beta * self.gamma / self.alpha**2))

@@ -12,15 +12,13 @@ import numpy as np
 import pytest
 
 from qnls import functionals as fn
-from qnls.evolve import (EvolveConfig, pde_residual, pseudo_conformal_solution,
-                         pseudo_conformal_with_rate, run_with_monitors, standing_wave,
-                         virial_check)
+from qnls.evolve import (EvolveConfig, pde_residual, pseudo_conformal_with_rate,
+                         run_with_monitors, standing_wave, virial_check)
 from qnls.grids import FieldState, GridSpec, norm_sq
 from qnls.groundstate import (amplified_initializer, constrained_minimize,
                               dilated_initializer, lambda_star,
                               mass_preserving_dilation, modulated_distance,
-                              peak_aligned_linf_error, petviashvili_solve,
-                              pohozaev_check)
+                              peak_aligned_linf_error, petviashvili_solve)
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, Monomial, TrilinearPotential,
                                builtin_model, check_degree_identity, check_gauge,
                                check_mass_balance, validate_model)
@@ -106,8 +104,8 @@ def test_criterion_04_pohozaev_suite(gs_radial, gs_radial_fine):
     lines = []
     ok = True
     for n in range(1, 6):
-        dev = pohozaev_check(gs_radial[n])
-        dev_fine = pohozaev_check(gs_radial_fine[n])
+        dev = gs_radial[n].pohozaev_dev
+        dev_fine = gs_radial_fine[n].pohozaev_dev
         ratio = max(dev) / max(dev_fine)
         ok &= max(dev) < 1e-3 and 2.5 < ratio < 7.0
         lines.append(f"n={n}: max dev {max(dev):.1e} (x{ratio:.1f} under doubling)")
@@ -217,8 +215,8 @@ def test_criterion_09_pseudo_conformal_law(gs_radial):
     gs4 = gs_radial[4]
     T = 1e-4
     fracs = (0.0, 0.25, 0.5, 0.75, 0.9)
-    Qs = [fn.charge(pseudo_conformal_solution(gs4.state, T, f * T)) for f in fracs]
-    Ks = [fn.kinetic(pseudo_conformal_solution(gs4.state, T, f * T)) * (T - f * T) ** 2
+    Qs = [fn.charge(pseudo_conformal_with_rate(gs4.state, T, f * T)[0]) for f in fracs]
+    Ks = [fn.kinetic(pseudo_conformal_with_rate(gs4.state, T, f * T)[0]) * (T - f * T) ** 2
           for f in fracs]
     q_dev = max(abs(q - Qs[0]) for q in Qs) / Qs[0]
     k_dev = max(abs(k - Ks[0]) for k in Ks) / Ks[0]

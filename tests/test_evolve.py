@@ -3,8 +3,8 @@ import pytest
 
 from qnls import functionals as fn
 from qnls.evolve import (DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
-                         pseudo_conformal_solution, pseudo_conformal_with_rate,
-                         run_with_monitors, standing_wave, virial_check)
+                         pseudo_conformal_with_rate, run_with_monitors, standing_wave,
+                         virial_check)
 from qnls.grids import FieldState, GridSpec, apply_laplacian, norm_sq
 from qnls.groundstate import elliptic_residual, petviashvili_solve
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, TrilinearPotential,
@@ -246,7 +246,7 @@ def gs4():
 class TestPseudoConformal:
     def test_initial_datum_form(self, gs4):
         T = 1e-3
-        v0 = pseudo_conformal_solution(gs4.state, T, 0.0)
+        v0 = pseudo_conformal_with_rate(gs4.state, T, 0.0)[0]
         sigma = gs4.model.coeffs.sigma
         rho = gs4.grid.axis()
         r = T * rho
@@ -257,14 +257,14 @@ class TestPseudoConformal:
 
     def test_charge_exactly_constant(self, gs4):
         T = 1e-4
-        Qs = [fn.charge(pseudo_conformal_solution(gs4.state, T, f * T))
+        Qs = [fn.charge(pseudo_conformal_with_rate(gs4.state, T, f * T)[0])
               for f in (0.0, 0.3, 0.6, 0.9)]
         assert max(abs(q - Qs[0]) for q in Qs) / Qs[0] < 1e-12
         assert Qs[0] == pytest.approx(gs4.Q, rel=1e-12)
 
     def test_kinetic_blowup_rate(self, gs4):
         T = 1e-4
-        Ks = [fn.kinetic(pseudo_conformal_solution(gs4.state, T, f * T)) * (T - f * T) ** 2
+        Ks = [fn.kinetic(pseudo_conformal_with_rate(gs4.state, T, f * T)[0]) * (T - f * T) ** 2
               for f in (0.0, 0.5, 0.9)]
         assert max(abs(k - Ks[0]) for k in Ks) / Ks[0] < 1e-6
 
@@ -280,16 +280,16 @@ class TestPseudoConformal:
 
     def test_domain_guards(self, gs4):
         with pytest.raises(ValueError):
-            pseudo_conformal_solution(gs4.state, 1.0, 1.0)  # t = T
+            pseudo_conformal_with_rate(gs4.state, 1.0, 1.0)[0]  # t = T
         m = builtin_model("shg3", beta=(1.0, 1.0, 1.0))
         g = GridSpec("radial", 4, 64, 8.0)
         st = FieldState(m, g, np.zeros((3, 64), dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            pseudo_conformal_solution(st, 1.0, 0.0)  # beta != 0
+            pseudo_conformal_with_rate(st, 1.0, 0.0)[0]  # beta != 0
         gs3 = FieldState(gs4.model, GridSpec("radial", 3, 64, 8.0),
                          np.zeros((3, 64), dtype=complex), 0.0)
         with pytest.raises(ValueError):
-            pseudo_conformal_solution(gs3, 1.0, 0.0)  # wrong dimension
+            pseudo_conformal_with_rate(gs3, 1.0, 0.0)[0]  # wrong dimension
 
 
 class TestMonitors:

@@ -9,7 +9,8 @@ from qnls.grids import (Field, FieldState, GridSpec, apply_laplacian,
                         integrate, momentum_density_integral, norm_sq,
                         quadrature_weights, radial_derivative, radial_laplacian_banded,
                         radius_sq, read_snapshot, read_snapshot_raw, shifted_solver,
-                        symmetric_decreasing_rearrangement, write_snapshot)
+                        symmetric_decreasing_rearrangement, weighted_density,
+                        write_snapshot)
 from qnls.nonlinearity import builtin_model
 
 
@@ -247,6 +248,16 @@ class TestVarianceWeights:
         g = GridSpec("radial", 3, 64, 5.0)
         f = Field(g, np.zeros(64, dtype=complex))
         assert np.all(radius_sq(g) * f.values == 0.0)
+
+    @pytest.mark.parametrize("shape", [(3, 64), (2, 16, 16)])
+    def test_weighted_density_matches_component_loop(self, shape):
+        rng = np.random.default_rng(4)
+        w = rng.uniform(0.5, 2.0, shape[0])
+        for f in (rng.normal(size=shape) + 1j * rng.normal(size=shape), rng.normal(size=shape)):
+            loop = sum(wk * np.abs(fk) ** 2 for wk, fk in zip(w, f))
+            dens = weighted_density(w, f)
+            assert dens.shape == shape[1:] and dens.dtype == np.float64
+            assert np.allclose(dens, loop, rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
 class TestMomentum:

@@ -8,12 +8,12 @@ from qnls import grids
 from qnls.grids import FieldState, GridSpec
 from qnls.groundstate import (ConvergenceError, amplified_initializer,
                               constrained_minimize, dilated_initializer,
-                              elliptic_residual, instability_initializer, lambda_star,
+                              elliptic_residual, lambda_star,
                               mass_preserving_dilation, modulated_distance,
                               normalize_KQ1, peak_aligned_linf_error,
-                              petviashvili_solve, pohozaev_check,
-                              read_groundstate_archive, scale_to_solution,
-                              spectral_shift, write_groundstate_archive, xi1_of)
+                              petviashvili_solve, read_groundstate_archive,
+                              scale_to_solution, spectral_shift,
+                              write_groundstate_archive)
 from qnls.nonlinearity import builtin_model
 
 
@@ -50,7 +50,7 @@ class TestPetviashvili:
 
     def test_structural_identities_n1_cartesian(self, uv2_exact):
         result, _ = uv2_exact
-        dev = pohozaev_check(result)
+        dev = result.pohozaev_dev
         # spectral grid: the identities hold to near rounding
         assert max(dev) < 1e-8
         assert result.K / result.I == pytest.approx(1.0, abs=1e-8)
@@ -58,7 +58,7 @@ class TestPetviashvili:
         assert result.P / result.I == pytest.approx(2.0, abs=1e-8)
 
     def test_radial_identities(self, gs_n3):
-        dev = pohozaev_check(gs_n3)
+        dev = gs_n3.pohozaev_dev
         assert max(dev) < 1e-3
         assert gs_n3.K / gs_n3.I == pytest.approx(3.0, rel=1e-3)
         assert gs_n3.Qcal / gs_n3.I == pytest.approx(3.0, rel=2e-3)
@@ -134,10 +134,6 @@ class TestResolvent:
 
 
 class TestPohozaev:
-    def test_n6_rejected(self, gs_n3):
-        with pytest.raises(ValueError):
-            pohozaev_check(gs_n3, n=6)
-
     def test_nonpositive_action_rejected(self):
         from qnls.groundstate import _pohozaev_deviations
         with pytest.raises(ValueError):
@@ -181,12 +177,13 @@ class TestNormalizations:
         # the normalize -> rescale loop lands back on the stationary branch
         result, _ = uv2_exact
         normalized = normalize_KQ1(result.state, 1.0)
-        rescaled, residual = scale_to_solution(normalized, xi1_of(result), 1.0)
+        xi1 = fn.weinstein_infimum(result.Qcal, 1)
+        rescaled, residual = scale_to_solution(normalized, xi1, 1.0)
         assert residual < 1e-5
 
     def test_scale_to_solution_closure_radial(self, gs_n3):
         normalized = normalize_KQ1(gs_n3.state, 1.0)
-        xi1 = xi1_of(gs_n3)
+        xi1 = fn.weinstein_infimum(gs_n3.Qcal, 3)
         rescaled, residual = scale_to_solution(normalized, xi1, 1.0)
         # radial identities hold to O(h^2); the loop residual inherits that
         assert residual < 50 * max(gs_n3.pohozaev_dev)
@@ -197,13 +194,13 @@ class TestNormalizations:
 
     def test_lambda0_formula_n5(self, gs_n5):
         normalized = normalize_KQ1(gs_n5.state, 1.0)
-        rescaled, _ = scale_to_solution(normalized, xi1_of(gs_n5), 1.0)
+        rescaled, _ = scale_to_solution(normalized, fn.weinstein_infimum(gs_n5.Qcal, 5), 1.0)
         assert rescaled.grid.extent / normalized.grid.extent \
             == pytest.approx(np.sqrt(1.0 / 5.0), rel=1e-12)
 
     def test_xi1_matches_quotient(self, gs_n3, gs_n5):
-        assert xi1_of(gs_n3) == pytest.approx(gs_n3.J, rel=1e-3)
-        assert xi1_of(gs_n5) == pytest.approx(gs_n5.J, rel=1e-3)
+        assert fn.weinstein_infimum(gs_n3.Qcal, 3) == pytest.approx(gs_n3.J, rel=1e-3)
+        assert fn.weinstein_infimum(gs_n5.Qcal, 5) == pytest.approx(gs_n5.J, rel=1e-3)
 
 
 class TestDilations:
@@ -238,7 +235,7 @@ class TestDilations:
         assert fn.virial_functional(d) < 0.0
         with pytest.raises(ValueError):
             dilated_initializer(gs_n5.state, 1.0)
-        assert instability_initializer(gs_n5.state, 1.5).grid.extent \
+        assert dilated_initializer(gs_n5.state, 1.5).grid.extent \
             == pytest.approx(gs_n5.grid.extent / 1.5)
         # continuity: the datum approaches the profile as lam -> 1+
         near = dilated_initializer(gs_n5.state, 1.0 + 1e-6)
@@ -258,7 +255,7 @@ class TestDilations:
         with pytest.raises(ValueError):
             amplified_initializer(gs4.state, -0.1)
         with pytest.raises(ValueError):
-            instability_initializer(gs4.state, 0.0)
+            amplified_initializer(gs4.state, 0.0)
 
 
 @pytest.fixture(scope="module")
