@@ -7,12 +7,15 @@ part,
     d_t u_k = (i/alpha_k) f_k(u)                           [nonlinear]
 
 and is stepped with Strang composition: a half step of the nonlinear ODE by
-classical RK4, a full linear step, another nonlinear half step.  The RK4
-stages are built in three stage buffers owned by the stepper (stage input,
-current slope, running slope sum) with in-place ufuncs, the couplings are
-written straight into the slope buffer, and only the result of a substep
-is a new array; the input of a substep is never written.  The linear step
-is :func:`qnls.grids.propagator`, built once per step size: exact Fourier
+classical RK4, a full linear step, another nonlinear half step.  Between two
+samples of a fixed-step run the trailing half step of one step and the
+leading one of the next are taken as one RK4 substep over dt, which halves
+the nonlinear work and differs only by RK4 truncation.  The RK4 stages are
+built in three stage buffers owned by the stepper (stage input, current
+slope, running slope sum) with in-place ufuncs, the couplings are written
+straight into the slope buffer, and only the result of a substep is a new
+array; the input of a substep is never written.  The linear step is
+:func:`qnls.grids.propagator`, built once per step size: exact Fourier
 phases on Cartesian grids, Crank-Nicolson on the finite-difference
 Laplacian on radial grids.  Either way the scheme is globally second order
 in dt.
@@ -194,8 +197,14 @@ class Stepper:
         np.add(acc, k, out=acc)
         return np.add(comps, np.multiply(acc, h / 6.0, out=acc))
 
-    def step(self, comps: np.ndarray, dt: float) -> np.ndarray:
+    def step(self, comps: np.ndarray, dt: float, k: int = 1) -> np.ndarray:
+        """k Strang steps N(dt/2) L(dt) N(dt/2) as a new array, taken as
+        N(dt/2) [L(dt) N(dt)]^{k-1} L(dt) N(dt/2): adjacent half steps merge
+        into one RK4 substep over dt.  k = 1 is one plain step."""
         c = self.nonlinear_half_step(comps, dt)
+        for _ in range(k - 1):
+            c = self.linear_step(c, dt)
+            c = self.nonlinear_half_step(c, 2.0 * dt)
         c = self.linear_step(c, dt)
         return self.nonlinear_half_step(c, dt)
 
@@ -209,8 +218,12 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     grow) and doubles it back after a stretch of clean steps; dt dropping
     below dt_min counts as blow-up, as do the kinetic and sup-norm caps,
     which in adaptive mode are checked every step.  A full snapshot is taken
-    only at sample times (every sample_every steps and at t_end), so the
-    outcome does not depend on sample_every beyond the diagnostics kept.
+    only at sample times (every sample_every steps and at t_end).  An
+    adaptive run's outcome does not depend on sample_every beyond the
+    diagnostics kept.  A fixed-step run takes the full steps up to the next
+    sample in one Stepper.step call, which merges their adjacent nonlinear
+    half steps, so its states depend on sample_every up to RK4 truncation;
+    its sample times and step counts do not.
     """
     stepper = Stepper(state.model, state.grid)
     comps = np.array(state.components)
@@ -226,7 +239,12 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     eps_end = 1e-12 * max(1.0, abs(t_end))
     while t < t_end - eps_end:
         dt_eff = min(dt, t_end - t)
-        new = stepper.step(comps, dt_eff)
+        k, t_next = 1, t + dt_eff
+        # fixed dt: merge the full steps up to the next sample into one call
+        while (not config.adaptive and (steps + k) % config.sample_every
+               and t_end - t_next >= dt):
+            k, t_next = k + 1, t_next + dt
+        new = stepper.step(comps, dt_eff, k)
         if config.adaptive:
             while True:
                 q_new = stepper.charge(new)
@@ -243,7 +261,7 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
             if dt_eff < config.dt_min:
                 status, t_detect, monitor = BLOWN_UP, t, "dt_floor"
                 break
-            q_prev = q_new
+            q_prev, t_next = q_new, t + dt_eff
             clean_steps += 1
             if clean_steps >= 16 and dt < config.dt:
                 dt = min(2.0 * dt, config.dt)
@@ -254,12 +272,10 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
                 status, t_detect, monitor = ABORTED, t, "nonfinite"
                 break
             if amp > config.blowup_linf:
-                comps, t = new, t + dt_eff
+                comps, t = new, t_next
                 status, t_detect, monitor = BLOWN_UP, t, "linf"
                 break
-        comps = new
-        t += dt_eff
-        steps += 1
+        comps, t, steps = new, t_next, steps + k
         if steps % config.sample_every == 0 or t >= t_end - eps_end:
             snap = snapshot_of(state.with_components(comps, t), with_variance=with_variance)
             diag.append(snap)

@@ -139,7 +139,8 @@ class TestNonlinearSubstep:
         comps = rng.normal(size=(3,) + g.shape) + 1j * rng.normal(size=(3,) + g.shape)
         keep = comps.copy()
         stepper = Stepper(m, g)
-        for substep in (stepper.step, stepper.nonlinear_half_step):
+        for substep in (stepper.step, stepper.nonlinear_half_step,
+                        lambda c, dt: stepper.step(c, dt, k=3)):
             first = substep(comps, 1e-2)
             first_copy = first.copy()
             second = substep(comps, 1e-2)
@@ -148,6 +149,59 @@ class TestNonlinearSubstep:
             assert not np.shares_memory(first, second)
             assert np.array_equal(first, first_copy)
             assert np.array_equal(first, second)
+
+
+class TestMergedSteps:
+    @pytest.mark.parametrize("name", ["shg3", "uv2"])
+    @pytest.mark.parametrize("kind,dim,points", [("cartesian", 2, 32), ("radial", 5, 128)])
+    def test_chunk_matches_single_steps(self, name, kind, dim, points):
+        # N(dt) in place of N(dt/2) N(dt/2) differs only by RK4 truncation
+        m = builtin_model(name)
+        g = GridSpec(kind, dim, points, 8.0)
+        rsq = sum(x**2 for x in np.meshgrid(*[g.axis()] * len(g.shape), indexing="ij"))
+        phase = np.exp(1j * np.arange(1, m.l + 1)).reshape((m.l,) + (1,) * len(g.shape))
+        comps = 1.5 * phase * np.exp(-rsq)
+        stepper = Stepper(m, g)
+        single = comps
+        for _ in range(7):
+            single = stepper.step(single, 1e-3)
+        merged = stepper.step(comps, 1e-3, 7)
+        assert np.max(np.abs(merged - single)) <= 1e-12 * np.max(np.abs(single))
+
+    def test_fixed_run_merges_half_steps_between_samples(self, gs_shg3_cart, monkeypatch):
+        # 10 full steps sampled every 3rd, then a partial one: chunks of
+        # 3, 3, 3 and 1 steps, and the partial step on its own
+        calls = {"step": 0, "half": 0}
+        step, half = Stepper.step, Stepper.nonlinear_half_step
+
+        def counted_step(self, *args, **kwargs):
+            calls["step"] += 1
+            return step(self, *args, **kwargs)
+
+        def counted_half(self, *args, **kwargs):
+            calls["half"] += 1
+            return half(self, *args, **kwargs)
+
+        monkeypatch.setattr(Stepper, "step", counted_step)
+        monkeypatch.setattr(Stepper, "nonlinear_half_step", counted_half)
+        out = run_with_monitors(gs_shg3_cart.state,
+                                EvolveConfig(dt=1e-2, t_end=0.105, sample_every=3),
+                                with_variance=False)
+        assert (out.steps, calls["step"]) == (11, 5)
+        assert calls["half"] == out.steps + calls["step"]
+        assert out.final.t == pytest.approx(0.105, abs=1e-15)
+
+    def test_fixed_run_sampling_changes_only_truncation(self, gs_shg3_cart):
+        outs = [run_with_monitors(gs_shg3_cart.state,
+                                  EvolveConfig(dt=1e-3, t_end=0.0505, sample_every=every),
+                                  with_variance=False)
+                for every in (1, 10**9)]
+        dense, sparse = outs
+        assert (dense.steps, dense.final.t) == (sparse.steps, sparse.final.t) == (51, 0.0505)
+        assert len(dense.diagnostics) == 52 and len(sparse.diagnostics) == 2
+        assert sparse.diagnostics.column("t")[-1] == dense.diagnostics.column("t")[-1]
+        a, b = dense.final.components, sparse.final.components
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(a))
 
 
 class TestStandingWave:
