@@ -12,11 +12,11 @@ Scenarios (subcommands) and what they measure:
     scaling-law  charge-constrained minimization and its power law
 
 Configuration is a flat ``key = value`` text file with ``[model] [grid]
-[evolve] [groundstate] [output]`` sections; command-line flags override file
-values.  Every scenario writes ``report.txt`` (human-readable) and
-``report.json`` (one record per criterion: name, measured, expected,
-tolerance, pass) into the output directory and exits 0 iff all criteria
-pass.  Scenarios that run a monitored evolution also record its outcome
+[evolve] [groundstate] [output]`` sections; a key that no ``Settings`` field
+declares is an error, and command-line flags override file values.  Every
+scenario writes ``report.txt`` (human-readable) and ``report.json`` (one
+record per criterion: name, measured, expected, tolerance, pass) into the
+output directory and exits 0 iff all criteria pass.  Scenarios that run a monitored evolution also record its outcome
 under ``"run"``: status, the monitor that fired, accepted and rejected
 steps, the final and the smallest dt and the detection time.
 ``QNLS_THREADS`` caps the linear-algebra thread pools.
@@ -70,17 +70,9 @@ class ExperimentReport:
 
     def check(self, name, measured, expected, tolerance, provenance="",
               compare="abs") -> bool:
-        """Record one criterion; compare is 'abs' |m-e|<=tol, 'le' m<=tol,
-        'eq' m==e, or 'true' bool(measured)."""
+        """Record one criterion; compare is 'abs' |m-e|<=tol or 'le' m<=tol."""
         measured = float(measured)
-        if compare == "abs":
-            ok = abs(measured - expected) <= tolerance
-        elif compare == "le":
-            ok = measured <= tolerance
-        elif compare == "eq":
-            ok = measured == expected
-        else:
-            ok = bool(measured)
+        ok = abs(measured - expected) <= tolerance if compare == "abs" else measured <= tolerance
         self.criteria.append(Criterion(name, measured, float(expected),
                                        float(tolerance), bool(ok), provenance))
         return ok
@@ -143,31 +135,43 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+def _setting(default, parse=str, key=None, choices=None):
+    """One scenario setting: its default, the parser of its --flag and its
+    config-file value, its config key ('section.name'; None for flag-only
+    settings) and the values its flag accepts."""
+    return field(default=default,
+                 metadata={"parse": parse, "key": key, "choices": choices})
+
+
 @dataclass
 class Settings:
+    """The settings of a scenario, each declared once: ``make_parser`` derives
+    a ``--flag`` per field (underscores become dashes) and ``build_settings``
+    reads the config keys.  A new setting is one field here."""
+
     scenario: str
-    model: str = "shg3"
-    model_file: str | None = None
-    kappa: float = 0.5
-    chi: float = 1.0
-    beta: str | None = None
-    kind: str = "radial"
-    dim: int = 1
-    points: int = 1024
-    extent: float = 20.0
-    omega: float = 1.0
-    dt: float = 1e-3
-    t_end: float = 1.0
-    sample_every: int = 10
-    seed: int = 0
-    out: str = "qnls-out"
-    archive: str | None = None
-    nu: float | None = None
-    amplitude: float = 0.9
-    eps: float = 0.1
-    lam: float = 1.5
-    T: float = 1e-4
-    tol: float = 1e-3
+    model: str = _setting("shg3", key="model.name", choices=("shg3", "cascade3", "uv2"))
+    model_file: str | None = _setting(None, key="model.file")
+    kappa: float = _setting(0.5, float, "model.kappa")
+    chi: float = _setting(1.0, float, "model.chi")
+    beta: str | None = _setting(None, key="model.beta")
+    kind: str = _setting("radial", key="grid.kind", choices=("cartesian", "radial"))
+    dim: int = _setting(1, int, "grid.dim")
+    points: int = _setting(1024, int, "grid.points")
+    extent: float = _setting(20.0, float, "grid.extent")
+    omega: float = _setting(1.0, float, "groundstate.omega")
+    dt: float = _setting(1e-3, float, "evolve.dt")
+    t_end: float = _setting(1.0, float, "evolve.t_end")
+    sample_every: int = _setting(10, int, "evolve.sample_every")
+    seed: int = _setting(0, int, "output.seed")
+    out: str = _setting("qnls-out", key="output.dir")
+    archive: str | None = _setting(None, key="groundstate.archive")
+    nu: float | None = _setting(None, float, "groundstate.nu")
+    amplitude: float = _setting(0.9, float)
+    eps: float = _setting(0.1, float)
+    lam: float = _setting(1.5, float)
+    T: float = _setting(1e-4, float)
+    tol: float = _setting(1e-3, float)
 
     def resolve_model(self):
         if self.model_file:
@@ -184,30 +188,21 @@ class Settings:
         return {k: v for k, v in self.__dict__.items() if v is not None}
 
 
-_CONFIG_KEYS = {
-    "model.name": ("model", str), "model.file": ("model_file", str),
-    "model.kappa": ("kappa", float), "model.chi": ("chi", float),
-    "model.beta": ("beta", str),
-    "grid.kind": ("kind", str), "grid.dim": ("dim", int),
-    "grid.points": ("points", int), "grid.extent": ("extent", float),
-    "groundstate.omega": ("omega", float), "groundstate.archive": ("archive", str),
-    "groundstate.nu": ("nu", float),
-    "evolve.dt": ("dt", float), "evolve.t_end": ("t_end", float),
-    "evolve.sample_every": ("sample_every", int),
-    "output.dir": ("out", str), "output.seed": ("seed", int),
-}
-
-
 def build_settings(args) -> Settings:
+    """Settings from the config file, if any, then the flags that were given.
+    A config key that no setting declares raises ValueError."""
     st = Settings(scenario=args.scenario)
     if getattr(args, "config", None):
+        keyed = {f.metadata["key"]: f for f in fields(Settings) if f.metadata.get("key")}
         for key, value in parse_config_file(args.config).items():
-            if key in _CONFIG_KEYS:
-                attr, conv = _CONFIG_KEYS[key]
-                try:
-                    setattr(st, attr, conv(value))
-                except ValueError as exc:
-                    raise ValueError(f"{args.config}: bad field {key}={value!r}: {exc}") from None
+            if key not in keyed:
+                raise ValueError(f"{args.config}: unknown field {key}={value!r}; "
+                                 f"the config keys are {', '.join(keyed)}")
+            f = keyed[key]
+            try:
+                setattr(st, f.name, f.metadata["parse"](value))
+            except ValueError as exc:
+                raise ValueError(f"{args.config}: bad field {key}={value!r}: {exc}") from None
     for f in fields(Settings):
         val = getattr(args, f.name, None)
         if val is not None:
@@ -248,10 +243,9 @@ def cmd_validate(st: Settings) -> ExperimentReport:
     model = st.resolve_model()
     hyp = validate_model(model, n_samples=1000, seed=st.seed)
     for name, result in hyp.checks.items():
-        rep.check(f"{model.name}:{name}", result.deviation, 0.0, hyp.tol,
-                  provenance=result.detail or "hypothesis check",
-                  compare="le" if result.passed else "abs")
-        rep.criteria[-1].passed = result.passed
+        rep.criteria.append(Criterion(f"{model.name}:{name}", float(result.deviation), 0.0,
+                                      float(hyp.tol), result.passed,
+                                      result.detail or "hypothesis check"))
     return rep
 
 
@@ -289,7 +283,7 @@ def cmd_evolve(st: Settings) -> ExperimentReport:
     cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
     out = run_with_monitors(state, cfg)
     rep.run = out.as_json()
-    rep.check("status completed", float(out.status == "completed"), 1.0, 0.0, compare="true")
+    rep.check("status completed", float(out.status == "completed"), 1.0, 0.0)
     rep.check("charge drift", out.diagnostics.max_relative_drift("Q"), 0.0, 1e-8,
               compare="le", provenance="relative, over the run")
     rep.check("energy drift", out.diagnostics.max_relative_drift("E"), 0.0, 1e-6,
@@ -334,7 +328,7 @@ def cmd_threshold(st: Settings) -> ExperimentReport:
     else:
         expected = "global" if c < 1 else "indeterminate"
     rep.check(f"classification is {expected}",
-              float(report.classification == expected), 1.0, 0.0, compare="true")
+              float(report.classification == expected), 1.0, 0.0)
     return rep
 
 
@@ -367,7 +361,7 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
         rep.run = out.as_json()
         expected_status = "blown_up" if st.amplitude > 1 else "completed"
         rep.check(f"run status {expected_status}",
-                  float(out.status == expected_status), 1.0, 0.0, compare="true")
+                  float(out.status == expected_status), 1.0, 0.0)
         if st.amplitude < 1:
             Ks = out.diagnostics.column("K")
             rep.check("kinetic stays below 2 K(0)", float(np.max(Ks) / Ks[0]), 0.0, 2.0,
@@ -418,8 +412,7 @@ def cmd_stability(st: Settings) -> ExperimentReport:
         data = dilated_initializer(gs.state, st.lam)
         out = run_with_monitors(data, _collapse_config(st), with_variance=False)
         rep.run = out.as_json()
-        rep.check("dilated datum blows up", float(out.status == "blown_up"), 1.0, 0.0,
-                  compare="true")
+        rep.check("dilated datum blows up", float(out.status == "blown_up"), 1.0, 0.0)
     return rep
 
 
@@ -461,31 +454,14 @@ def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="qnls",
                                 description="coupled quadratic Schrodinger laboratory")
     sub = p.add_subparsers(dest="scenario", required=True)
+    options = [f for f in fields(Settings) if f.metadata]
     for name in SCENARIOS:
         sp = sub.add_parser(name)
         sp.add_argument("--config", default=None)
-        sp.add_argument("--model", default=None, choices=["shg3", "cascade3", "uv2"])
-        sp.add_argument("--model-file", dest="model_file", default=None)
-        sp.add_argument("--kappa", type=float, default=None)
-        sp.add_argument("--chi", type=float, default=None)
-        sp.add_argument("--beta", default=None)
-        sp.add_argument("--kind", default=None, choices=["cartesian", "radial"])
-        sp.add_argument("--dim", type=int, default=None)
-        sp.add_argument("--points", type=int, default=None)
-        sp.add_argument("--extent", type=float, default=None)
-        sp.add_argument("--omega", type=float, default=None)
-        sp.add_argument("--dt", type=float, default=None)
-        sp.add_argument("--t-end", dest="t_end", type=float, default=None)
-        sp.add_argument("--sample-every", dest="sample_every", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--archive", default=None)
-        sp.add_argument("--nu", type=float, default=None)
-        sp.add_argument("--amplitude", type=float, default=None)
-        sp.add_argument("--eps", type=float, default=None)
-        sp.add_argument("--lam", type=float, default=None)
-        sp.add_argument("--T", type=float, default=None)
-        sp.add_argument("--tol", type=float, default=None)
+        for f in options:
+            sp.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=f.metadata["parse"], default=None,
+                            choices=f.metadata["choices"])
     return p
 
 

@@ -268,6 +268,7 @@ def local_virial_rhs(state: FieldState, R: float) -> float:
 GLOBAL = "global"
 BLOWUP = "blowup"
 INDETERMINATE = "indeterminate"
+THRESHOLD_MARGIN = 1e-9  # relative margin of the strict threshold inequalities
 
 
 @dataclass(frozen=True)
@@ -284,15 +285,15 @@ class ThresholdReport:
     classification: str
 
 
-def threshold_report(state: FieldState, groundstate: FieldState,
-                     margin: float = 1e-9) -> ThresholdReport:
+def threshold_report(state: FieldState, groundstate: FieldState) -> ThresholdReport:
     """Classify initial data against the frequency-1, beta-0 ground state.
 
     n=4: global existence needs Q(u0) < Q(psi) strictly.  n=5: global when
     both Q E and Q K products lie strictly below the ground-state products;
     blowup when the energy product is below but the gradient product is
-    above.  Boundary cases (within the relative margin) are indeterminate,
-    matching the strict inequalities of the underlying statements.
+    above.  Boundary cases (within the relative THRESHOLD_MARGIN) are
+    indeterminate, matching the strict inequalities of the underlying
+    statements.
     """
     n = state.grid.n
     if n not in (4, 5):
@@ -305,10 +306,10 @@ def threshold_report(state: FieldState, groundstate: FieldState,
     Eg = Kg - 2.0 * interaction(groundstate)  # beta = 0 energy of the profile
 
     def below(a, b):
-        return a < b - margin * abs(b)
+        return a < b - THRESHOLD_MARGIN * abs(b)
 
     def above(a, b):
-        return a > b + margin * abs(b)
+        return a > b + THRESHOLD_MARGIN * abs(b)
 
     if n == 4:
         cls = GLOBAL if below(Q0, Qg) else INDETERMINATE

@@ -43,6 +43,19 @@ class ConvergenceError(RuntimeError):
     pass
 
 
+# Petviashvili iteration: stopping tolerance on the residual and on |S - 1|,
+# iteration budget per attempt, and the mixing of the under-relaxed update
+PETVIASHVILI_TOL = 1e-10
+PETVIASHVILI_MAX_ITER = 5000
+PETVIASHVILI_DAMPING = 0.5
+
+# constrained gradient flow: initial step (halved whenever the energy rises),
+# tolerance on the Euler-Lagrange residual, and the sweep budget
+FLOW_TAU = 0.2
+FLOW_TOL = 1e-9
+FLOW_MAX_ITER = 100000
+
+
 @dataclass(frozen=True)
 class GroundStateResult:
     model: ModelSpec
@@ -83,22 +96,22 @@ def _default_init(model: ModelSpec, grid: GridSpec, amplitudes) -> np.ndarray:
 
 
 def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
-                       init: np.ndarray | None = None, tol: float = 1e-10,
-                       max_iter: int = 5000, damping: float = 0.5) -> GroundStateResult:
+                       init: np.ndarray | None = None) -> GroundStateResult:
     """Stabilized fixed-point solve of the stationary system at frequency omega.
 
     init defaults to per-component Gaussians, amplitude-tilted on restart;
     the global amplitude is rescaled so the first stabilization factor is
     exactly 1.  Iterates are clipped to the positive cone.  The update is
-    under-relaxed (default mixing 1/2): a single global stabilization factor
-    leaves the relative amplitude between components neutrally stable for
-    multi-component couplings, and the mixing damps that internal mode.
-    Raises ConvergenceError on stagnation or when the stabilization factor
-    leaves [1e-6, 1e6].
+    under-relaxed (mixing PETVIASHVILI_DAMPING = 1/2): a single global
+    stabilization factor leaves the relative amplitude between components
+    neutrally stable for multi-component couplings, and the mixing damps
+    that internal mode.  Each attempt stops once the residual and |S - 1|
+    are below PETVIASHVILI_TOL.  Raises ConvergenceError on stagnation,
+    after PETVIASHVILI_MAX_ITER iterations, or when the stabilization
+    factor leaves [1e-6, 1e6].
     """
     b = model.coeffs.b(omega)
     solve = grids.shifted_solver(grid, b, model.coeffs.gamma)
-    w = grids.quadrature_weights(grid)
 
     tilts = [np.ones(model.l),
              1.0 + 0.5 * np.arange(model.l),
@@ -110,29 +123,24 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
         if np.max(np.abs(psi)) == 0:
             raise ValueError("initial guess must not vanish identically")
         try:
-            result = _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol,
-                                           max_iter, damping)
+            result = _petviashvili_iterate(model, grid, psi, b, solve, omega)
             return replace(result, restarts=attempt)
         except ConvergenceError as exc:
             last_exc = exc
     raise ConvergenceError(f"fixed-point iteration failed after restarts: {last_exc}")
 
 
-def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
-                          damping):
+def _petviashvili_iterate(model, grid, psi, b, solve, omega):
     """The fixed-point loop.  The two sides of the stationary system,
     (-gamma_k Lap + b_k) psi_k and f_k(psi), are computed once per iterate:
     the residual test of one iteration and the update of the next share them."""
-    def quad(x):
-        return float(np.sum(w * x))
-
     def sides(psi):
         return grids.shifted_apply(grid, b, model.coeffs.gamma, psi), model.eval_fk(psi)
 
     # rescale so the first stabilization factor is 1: S(c psi) = S(psi)/c
     lhs, fk = sides(psi)
-    A = quad(np.sum(lhs * psi, axis=0))
-    B = quad(np.sum(fk.real * psi, axis=0))
+    A = grids.integrate(grid, np.sum(lhs * psi, axis=0))
+    B = grids.integrate(grid, np.sum(fk.real * psi, axis=0))
     if B <= 0:
         raise ConvergenceError("interaction pairing non-positive on the initial guess")
     psi = (A / B) * psi
@@ -145,23 +153,24 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
 
     S = np.inf
     best_res, best_psi, since_best = np.inf, None, 0
-    for iteration in range(1, max_iter + 1):
+    for iteration in range(1, PETVIASHVILI_MAX_ITER + 1):
         # fk itself for real couplings; a model with complex coefficients
         # iterates on the real part (the residual counts the imaginary part)
         f = fk.real
-        A = quad(np.sum(lhs * psi, axis=0))
-        B = quad(np.sum(f * psi, axis=0))
+        A = grids.integrate(grid, np.sum(lhs * psi, axis=0))
+        B = grids.integrate(grid, np.sum(f * psi, axis=0))
         if not np.isfinite(B) or B <= 0:
             raise ConvergenceError(f"interaction pairing degenerated at iteration {iteration}")
         S = A / B
         if not 1e-6 < S < 1e6:
             raise ConvergenceError(f"stabilization factor diverged: S={S:.3e}")
-        psi = np.maximum((1.0 - damping) * psi + damping * S**2 * solve(f), 0.0)
+        psi = np.maximum((1.0 - PETVIASHVILI_DAMPING) * psi
+                         + PETVIASHVILI_DAMPING * S**2 * solve(f), 0.0)
         # drop the old iterate's fields before the new ones are allocated
         f = lhs = fk = None
         lhs, fk = sides(psi)
         res = float(np.max(np.abs(lhs - fk)))
-        if res < tol and abs(S - 1.0) < tol:
+        if res < PETVIASHVILI_TOL and abs(S - 1.0) < PETVIASHVILI_TOL:
             return _finalize(model, grid, omega, psi, res, iteration)
         if res < best_res:
             best_res, best_psi, since_best = res, psi, 0
@@ -174,7 +183,7 @@ def _petviashvili_iterate(model, grid, psi, b, solve, w, omega, tol, max_iter,
         if since_best > 50 and abs(S - 1.0) < 1e-12 and best_res < max(floor, 1e-6):
             return _finalize(model, grid, omega, best_psi, best_res, iteration)
     raise ConvergenceError(
-        f"no convergence in {max_iter} iterations (residual {res:.3e}, S-1 {S - 1:.3e})")
+        f"no convergence in {PETVIASHVILI_MAX_ITER} iterations (residual {res:.3e}, S-1 {S - 1:.3e})")
 
 
 def _finalize(model, grid, omega, psi, res, iterations) -> GroundStateResult:
@@ -247,10 +256,7 @@ class ConstrainedMinResult:
     iterations: int
 
 
-def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
-                         tau: float = 0.2, tol: float = 1e-9,
-                         max_iter: int = 100000,
-                         init: np.ndarray | None = None) -> ConstrainedMinResult:
+def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec) -> ConstrainedMinResult:
     """Minimize the energy at fixed charge nu by renormalized gradient flow.
 
     Each sweep takes a semi-implicit descent step: backward Euler on the
@@ -259,9 +265,15 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
     the charge sphere; a global rescale then restores Q = nu exactly.  With
     the multiplier inside the step the fixed points of the sweep solve the
     constrained Euler-Lagrange equation exactly for any tau (a plain
-    renormalized step would leave an O(tau) bias).  tau is halved whenever
-    the energy fails to decrease.  Convergence is declared on the sup norm
-    of the Euler-Lagrange residual.
+    renormalized step would leave an O(tau) bias).  tau starts at FLOW_TAU
+    and is halved whenever the energy fails to decrease.  Convergence is
+    declared on the sup norm of the Euler-Lagrange residual.
+
+    Known defect: on radial grids the flow does not converge.  The residual
+    stalls at 2.9e-6 to 6.1e-6, above the 1e-6 bound, and the flow spends
+    its whole FLOW_MAX_ITER budget (10-12 s at N = 256) before it raises
+    ConvergenceError.  Use Cartesian grids until the radial operator is
+    made conservative.
     """
     if grid.n > 3:
         raise ValueError("the constrained problem is posed for 1 <= n <= 3")
@@ -274,17 +286,17 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
         return (grids.weighted_grad_sq(grid, model.coeffs.gamma, phi),
                 grids.integrate(grid, model.eval_F(phi)))
 
-    phi = np.array(init, dtype=float) if init is not None \
-        else _default_init(model, grid, np.ones(model.l))
+    phi = _default_init(model, grid, np.ones(model.l))
     phi *= np.sqrt(nu / grids.weighted_norm_sq(grid, w_charge, phi))
     K, P = functionals_of(phi)
     E = K + grids.weighted_norm_sq(grid, model.coeffs.beta, phi) - 2 * P
 
     solver_cache: dict[float, object] = {}
+    tau = FLOW_TAU
     iterations = 0
     residual = np.inf
     theta = (K - 3.0 * P) / nu
-    while iterations < max_iter:
+    while iterations < FLOW_MAX_ITER:
         iterations += 1
         f = model.eval_fk(phi).real
         # (-gamma Lap + beta + 1/tau) trial = phi/tau + f + theta w phi
@@ -310,10 +322,10 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
             el = (grids.shifted_apply(grid, model.coeffs.beta, model.coeffs.gamma, phi)
                   - f - theta * wc * phi)
             residual = float(np.max(np.abs(el)))
-            if residual < tol:
+            if residual < FLOW_TOL:
                 break
     state = FieldState(model, grid, phi, 0.0)
-    if residual > max(tol, 1e-6):
+    if residual > max(FLOW_TOL, 1e-6):
         raise ConvergenceError(
             f"constrained flow stalled: EL residual {residual:.3e} after {iterations} sweeps")
     return ConstrainedMinResult(nu=nu, minimizer=state, I_nu=E,
@@ -329,7 +341,7 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec,
 class InstabilityData5D:
     """Dilation diagnostics of a five-dimensional profile: the critical
     dilation parameter, sampled values of K - (5/2)P along the dilation
-    family, and the action level m attained on its zero set."""
+    family, and the action level m (at omega = 1) attained on its zero set."""
 
     lambda_star: float
     lambdas: tuple[float, ...]
@@ -337,14 +349,13 @@ class InstabilityData5D:
     m: float
 
 
-def instability_data(profile: FieldState, lambdas=(0.8, 1.2, 1.5, 2.0),
-                     omega: float = 1.0) -> InstabilityData5D:
+def instability_data(profile: FieldState, lambdas=(0.8, 1.2, 1.5, 2.0)) -> InstabilityData5D:
     samples = tuple(functionals.virial_functional(mass_preserving_dilation(profile, lam))
                     for lam in lambdas)
     return InstabilityData5D(lambda_star=lambda_star(profile),
                              lambdas=tuple(float(v) for v in lambdas),
                              T_at_lambda=samples,
-                             m=functionals.action(profile, omega))
+                             m=functionals.action(profile, 1.0))
 
 
 def lambda_star(state: FieldState) -> float:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from qnls.cli import main, parse_config_file
+from qnls.cli import build_settings, main, make_parser, parse_config_file
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, Monomial, TrilinearPotential,
                                write_model_file)
 
@@ -42,7 +42,9 @@ def test_bad_config_line(tmp_path):
     (b"[grid]\n = 3\n", "'= 3'"),                          # no key
     (b"[grid]\nkind = radial\xff\n", "utf-8"),            # undecodable byte
     (b"[grid]\npoints = x\n", "grid.points='x'"),          # value that does not convert
-], ids=["no-equals", "no-key", "non-utf8", "bad-value"])
+    (b"[grid]\npionts = 128\n", "grid.pionts"),            # misspelled key
+    (b"[evolve]\namplitude = 1.2\n", "evolve.amplitude"),  # flag-only setting
+], ids=["no-equals", "no-key", "non-utf8", "bad-value", "unknown-key", "flag-only-key"])
 def test_malformed_config_names_file_and_field(tmp_path, data, field):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(data)
@@ -51,6 +53,64 @@ def test_malformed_config_names_file_and_field(tmp_path, data, field):
     assert type(info.value) is ValueError
     assert str(cfg) in str(info.value)
     assert field in str(info.value)
+
+
+# flag, Settings field, config key (None: flag only), default, text, parsed value
+CLI_SURFACE = [
+    ("--model", "model", "model.name", "shg3", "uv2", "uv2"),
+    ("--model-file", "model_file", "model.file", None, "m.txt", "m.txt"),
+    ("--kappa", "kappa", "model.kappa", 0.5, "0.25", 0.25),
+    ("--chi", "chi", "model.chi", 1.0, "2.5", 2.5),
+    ("--beta", "beta", "model.beta", None, "0.1,0.2,0.3", "0.1,0.2,0.3"),
+    ("--kind", "kind", "grid.kind", "radial", "cartesian", "cartesian"),
+    ("--dim", "dim", "grid.dim", 1, "3", 3),
+    ("--points", "points", "grid.points", 1024, "128", 128),
+    ("--extent", "extent", "grid.extent", 20.0, "15.5", 15.5),
+    ("--omega", "omega", "groundstate.omega", 1.0, "1.5", 1.5),
+    ("--dt", "dt", "evolve.dt", 1e-3, "2e-4", 2e-4),
+    ("--t-end", "t_end", "evolve.t_end", 1.0, "0.5", 0.5),
+    ("--sample-every", "sample_every", "evolve.sample_every", 10, "5", 5),
+    ("--seed", "seed", "output.seed", 0, "7", 7),
+    ("--out", "out", "output.dir", "qnls-out", "elsewhere", "elsewhere"),
+    ("--archive", "archive", "groundstate.archive", None, "gs.qnls", "gs.qnls"),
+    ("--nu", "nu", "groundstate.nu", None, "2", 2.0),
+    ("--amplitude", "amplitude", None, 0.9, "1.2", 1.2),
+    ("--eps", "eps", None, 0.1, "0.05", 0.05),
+    ("--lam", "lam", None, 1.5, "2", 2.0),
+    ("--T", "T", None, 1e-4, "3e-4", 3e-4),
+    ("--tol", "tol", None, 1e-3, "2e-3", 2e-3),
+]
+
+
+def _same(got, want):
+    return got == want and type(got) is type(want)
+
+
+def test_cli_surface_declares_the_same_options():
+    parser = make_parser()
+    args = parser.parse_args(["validate"])
+    assert set(vars(args)) == {"scenario", "config"} | {row[1] for row in CLI_SURFACE}
+    defaults = build_settings(args)
+    for _, attr, _, default, _, _ in CLI_SURFACE:
+        assert _same(getattr(defaults, attr), default), attr
+    assert sum(row[2] is not None for row in CLI_SURFACE) == 17
+    for flag in ("--model", "--kind"):
+        with pytest.raises(SystemExit):
+            parser.parse_args(["validate", flag, "bogus"])
+
+
+@pytest.mark.parametrize("flag,attr,key,default,text,value", CLI_SURFACE,
+                         ids=[row[0] for row in CLI_SURFACE])
+def test_cli_surface_flag_and_config_key(tmp_path, flag, attr, key, default, text, value):
+    parser = make_parser()
+    st = build_settings(parser.parse_args(["validate", flag, text]))
+    assert _same(getattr(st, attr), value)
+    if key is not None:
+        section, name = key.split(".")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"[{section}]\n{name} = {text}\n")
+        st = build_settings(parser.parse_args(["validate", "--config", str(cfg)]))
+        assert _same(getattr(st, attr), value)
 
 
 def test_validate_builtin_passes(tmp_path):
