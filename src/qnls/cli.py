@@ -190,7 +190,8 @@ class Settings:
 
 def build_settings(args) -> Settings:
     """Settings from the config file, if any, then the flags that were given.
-    A config key that no setting declares raises ValueError."""
+    A config key that no setting declares, or a value outside its choices,
+    raises ValueError."""
     st = Settings(scenario=args.scenario)
     if getattr(args, "config", None):
         keyed = {f.metadata["key"]: f for f in fields(Settings) if f.metadata.get("key")}
@@ -200,7 +201,10 @@ def build_settings(args) -> Settings:
                                  f"the config keys are {', '.join(keyed)}")
             f = keyed[key]
             try:
-                setattr(st, f.name, f.metadata["parse"](value))
+                parsed = f.metadata["parse"](value)
+                if f.metadata["choices"] and parsed not in f.metadata["choices"]:
+                    raise ValueError(f"choose from {', '.join(f.metadata['choices'])}")
+                setattr(st, f.name, parsed)
             except ValueError as exc:
                 raise ValueError(f"{args.config}: bad field {key}={value!r}: {exc}") from None
     for f in fields(Settings):

@@ -429,7 +429,8 @@ def spectral_shift(grid: GridSpec, values: np.ndarray, y: float) -> np.ndarray:
     if grid.kind != grids.CARTESIAN or grid.n != 1:
         raise ValueError("spectral translation is a 1-d Cartesian operation")
     k = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-    return np.fft.ifft(np.fft.fft(values, axis=-1) * np.exp(-1j * k * y), axis=-1)
+    fft = grids.scipy_fft()
+    return fft.ifft(fft.fft(values, axis=-1) * np.exp(-1j * k * y), axis=-1)
 
 
 def modulated_distance(state: FieldState, reference: FieldState,
@@ -453,7 +454,8 @@ def modulated_distance(state: FieldState, reference: FieldState,
         return _best_phase(sigma, np.sum(w * u * np.conj(ps), axis=axes), period)
 
     if grid.kind == grids.CARTESIAN and grid.n == 1:
-        corr = np.fft.ifft(np.fft.fft(u) * np.conj(np.fft.fft(psi))) * grid.h
+        fft = grids.scipy_fft()
+        corr = fft.ifft(fft.fft(u) * np.conj(fft.fft(psi))) * grid.h
         thetas = np.linspace(0.0, period, 256, endpoint=False)
         g = np.real(np.tensordot(np.exp(-1j * np.outer(thetas, sigma)), corr, axes=(1, 0)))
         j = int(np.unravel_index(np.argmax(g), g.shape)[1])

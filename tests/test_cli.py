@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qnls
 from qnls.cli import build_settings, main, make_parser, parse_config_file
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, Monomial, TrilinearPotential,
                                write_model_file)
@@ -44,7 +49,10 @@ def test_bad_config_line(tmp_path):
     (b"[grid]\npoints = x\n", "grid.points='x'"),          # value that does not convert
     (b"[grid]\npionts = 128\n", "grid.pionts"),            # misspelled key
     (b"[evolve]\namplitude = 1.2\n", "evolve.amplitude"),  # flag-only setting
-], ids=["no-equals", "no-key", "non-utf8", "bad-value", "unknown-key", "flag-only-key"])
+    (b"[grid]\nkind = bogus\n", "grid.kind='bogus'"),      # value outside the choices
+    (b"[model]\nname = bogus\n", "model.name='bogus'"),
+], ids=["no-equals", "no-key", "non-utf8", "bad-value", "unknown-key", "flag-only-key",
+        "kind-choice", "model-choice"])
 def test_malformed_config_names_file_and_field(tmp_path, data, field):
     cfg = tmp_path / "bad.cfg"
     cfg.write_bytes(data)
@@ -207,3 +215,22 @@ def test_scaling_law_scenario(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     ratio = [c for c in payload["criteria"] if c["name"] == "I_(2nu)/I_nu"][0]
     assert ratio["pass"]
+
+
+def test_radial_runs_never_import_scipy_fft(tmp_path):
+    # scipy.fft is imported on the first Cartesian transform, never on radial grids
+    script = f"""
+import sys
+from qnls.cli import main
+base = ["evolve", "--model", "shg3", "--dim", "1", "--points", "64", "--extent", "8",
+        "--dt", "1e-2", "--t-end", "0.05", "--sample-every", "1"]
+main(base + ["--kind", "radial", "--out", {str(tmp_path / "radial")!r}])
+assert "scipy.fft" not in sys.modules, "a radial run imported scipy.fft"
+main(base + ["--kind", "cartesian", "--out", {str(tmp_path / "cartesian")!r}])
+assert "scipy.fft" in sys.modules, "a Cartesian run did not import scipy.fft"
+"""
+    src = str(Path(qnls.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ from scipy.linalg import get_lapack_funcs, solve_banded
 
 from qnls.grids import (Field, FieldState, GridSpec, apply_laplacian,
                         boundary_mass_fraction, grad_sq_integral, gradient_components,
-                        integrate, momentum_density_integral, norm_sq,
+                        integrate, momentum_density_integral, norm_sq, propagator,
                         quadrature_weights, radial_derivative, radial_laplacian_banded,
                         radius_sq, read_snapshot, read_snapshot_raw, shifted_solver,
                         symmetric_decreasing_rearrangement, weighted_density,
@@ -409,6 +409,63 @@ class TestRealCartesianLaplacian:
         ref = apply_laplacian(g, f.astype(complex))
         assert lap.dtype == np.float64 and lap.shape == f.shape
         assert np.max(np.abs(lap - np.real(ref))) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _numpy_spectral_reference(g):
+    """numpy.fft versions of the Cartesian spectral operators, built from
+    their definitions: wavenumbers xi = 2 pi fftfreq(N, h) per axis."""
+    axes = tuple(range(-g.n, 0))
+    k1 = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
+    ks = np.meshgrid(*([k1] * g.n), indexing="ij")
+    ksq = sum(k**2 for k in ks)
+    half = ksq[..., :g.N // 2 + 1]
+    return {
+        "lap_real": lambda f: np.fft.irfftn(-half * np.fft.rfftn(f, axes=axes), s=g.shape,
+                                            axes=axes),
+        "lap_complex": lambda u: np.fft.ifftn(-ksq * np.fft.fftn(u, axes=axes), axes=axes),
+        "solve": lambda shift, scale, f: np.fft.irfftn(
+            np.fft.rfftn(f, axes=axes) / np.stack([c * half + s for s, c in zip(shift, scale)]),
+            s=g.shape, axes=axes),
+        "step": lambda dt, a, b, c, u: np.fft.ifftn(
+            np.stack([np.exp(1j * dt / ak * (-ck * ksq - bk)) for ak, bk, ck in zip(a, b, c)])
+            * np.fft.fftn(u, axes=axes), axes=axes),
+        "grad": lambda u: [np.fft.ifftn(1j * k * np.fft.fftn(u)) for k in ks],
+        "grad_sq": lambda u: g.h**g.n / g.N**g.n * np.sum(ksq * np.abs(np.fft.fftn(u))**2),
+    }
+
+
+class TestSpectralOperatorsMatchNumpy:
+    """Every Cartesian transform agrees with numpy.fft to 1e-13 relative and
+    leaves its input byte-identical."""
+
+    @staticmethod
+    def _close(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.max(np.abs(np.asarray(got) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 63), (2, 32), (2, 31), (3, 16), (3, 15)])
+    def test_against_numpy_fft(self, n, N):
+        g = GridSpec("cartesian", n, N, 3.0)
+        ref = _numpy_spectral_reference(g)
+        rng = np.random.default_rng(N)
+        f = rng.normal(size=(2,) + g.shape)
+        u = f + 1j * rng.normal(size=f.shape)
+        keep_f, keep_u = f.tobytes(), u.tobytes()
+        shift, scale = np.array([1.5, 0.5]), np.array([1.0, 2.0])
+        alpha, beta, gamma = np.array([1.0, 2.0]), np.array([0.5, -0.3]), np.array([1.0, 0.5])
+
+        lap = apply_laplacian(g, f)
+        assert lap.dtype == np.float64
+        self._close(lap, ref["lap_real"](f))
+        self._close(apply_laplacian(g, u), ref["lap_complex"](u))
+        solved = shifted_solver(g, shift, scale)(f)
+        assert solved.dtype == np.float64
+        self._close(solved, ref["solve"](shift, scale, f))
+        self._close(propagator(g, 0.1, alpha, beta, gamma)(u),
+                    ref["step"](0.1, alpha, beta, gamma, u))
+        self._close(gradient_components(g, u[0]), ref["grad"](u[0]))
+        self._close(grad_sq_integral(g, u[0]), ref["grad_sq"](u[0]))
+        assert f.tobytes() == keep_f and u.tobytes() == keep_u
 
 
 class TestSnapshots:
