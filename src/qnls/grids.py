@@ -197,7 +197,7 @@ def shifted_solver(grid: GridSpec, shift, scale):
     component k of a stack of fields.
 
     Cartesian grids divide the half spectrum of a real right-hand side by
-    shift_k + scale_k |xi|^2 (real coefficients; the result is real).  Radial
+    shift_k + scale_k |xi|^2 in place (real coefficients; the result is real).  Radial
     grids factor the l tridiagonal matrices once, here, as one block-tridiagonal
     matrix of size l N with zero sub- and superdiagonals at the block seams
     (LAPACK's LU with partial pivoting, ?gttrf, real or complex as
@@ -212,7 +212,9 @@ def shifted_solver(grid: GridSpec, shift, scale):
         axes, fft = tuple(range(-grid.n, 0)), scipy_fft()
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            return fft.irfftn(fft.rfftn(rhs, axes=axes) / denom, s=grid.shape, axes=axes)
+            spectrum = fft.rfftn(rhs, axes=axes)
+            spectrum /= denom
+            return fft.irfftn(spectrum, s=grid.shape, axes=axes, overwrite_x=True)
 
         return solve
     ab = radial_laplacian_banded(grid)
@@ -242,8 +244,9 @@ def apply_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
             spectrum = fft.fftn(values, axes=axes)
             spectrum *= -_cartesian_ksq(grid)
             return fft.ifftn(spectrum, axes=axes, overwrite_x=True)
-        spectrum = -_cartesian_half_ksq(grid) * fft.rfftn(values, axes=axes)
-        return fft.irfftn(spectrum, s=grid.shape, axes=axes)
+        spectrum = fft.rfftn(values, axes=axes)
+        spectrum *= -_cartesian_half_ksq(grid)
+        return fft.irfftn(spectrum, s=grid.shape, axes=axes, overwrite_x=True)
     ab = radial_laplacian_banded(grid)
     lap = ab[1] * values
     lap[..., :-1] += ab[0, 1:] * values[..., 1:]
@@ -252,10 +255,13 @@ def apply_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def shifted_apply(grid: GridSpec, shift, scale, values: np.ndarray) -> np.ndarray:
-    """shift_k u_k - scale_k Lap_h u_k for each field u_k of a stack (leading axis k)."""
+    """shift_k u_k - scale_k Lap_h u_k for each field u_k of a stack (leading axis k);
+    real coefficients."""
     ones = (1,) * len(grid.shape)
     shift, scale = np.reshape(shift, (-1,) + ones), np.reshape(scale, (-1,) + ones)
-    return shift * values - scale * apply_laplacian(grid, values)
+    lap = apply_laplacian(grid, values)
+    lap *= -scale
+    return np.add(lap, shift * values, out=lap)
 
 
 def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):

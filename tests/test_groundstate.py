@@ -6,7 +6,8 @@ import pytest
 from qnls import functionals as fn
 from qnls import grids
 from qnls.grids import FieldState, GridSpec
-from qnls.groundstate import (ConvergenceError, amplified_initializer,
+from qnls.groundstate import (PETVIASHVILI_LHS_REFRESH, PETVIASHVILI_TOL,
+                              ConvergenceError, amplified_initializer,
                               constrained_minimize, dilated_initializer,
                               elliptic_residual, lambda_star,
                               mass_preserving_dilation, modulated_distance,
@@ -108,6 +109,54 @@ class TestPetviashvili:
         assert result.residual >= 1e-10
         assert len(calls) == result.iterations + 2
 
+    def test_left_side_applied_on_schedule_only(self, monkeypatch):
+        # the left side is carried by its recurrence: it is applied directly
+        # for the two initial sides, every PETVIASHVILI_LHS_REFRESH
+        # iterations and for the accept; f_k is still evaluated once per
+        # iterate (this Cartesian solve never reaches the roundoff floor)
+        from qnls.nonlinearity import ModelSpec
+        calls = {"apply": 0, "fk": 0}
+        shifted_apply, eval_fk = grids.shifted_apply, ModelSpec.eval_fk
+
+        def counted_apply(*args):
+            calls["apply"] += 1
+            return shifted_apply(*args)
+
+        def counted_fk(self, *args, **kwargs):
+            calls["fk"] += 1
+            return eval_fk(self, *args, **kwargs)
+
+        monkeypatch.setattr(grids, "shifted_apply", counted_apply)
+        monkeypatch.setattr(ModelSpec, "eval_fk", counted_fk)
+        result = petviashvili_solve(builtin_model("shg3"), 1.0,
+                                    GridSpec("cartesian", 2, 64, 8.0))
+        assert result.residual < PETVIASHVILI_TOL
+        assert calls["apply"] <= 2 + result.iterations // PETVIASHVILI_LHS_REFRESH + 1
+        assert calls["fk"] == result.iterations + 2
+
+    # bound: the solver that applied the left side every iteration returned
+    # 2.764e-7, 9.84e-11 and 1.91e-10; best-iterate comparisons made on
+    # carried residuals on the roundoff floor return 6.6e-10 in the radial case
+    @pytest.mark.parametrize("name,kind,n,N,R,bound", [
+        ("cascade3", "cartesian", 2, 64, 10.0, 2.8e-7),   # clips; machine-converged
+        ("cascade3", "cartesian", 2, 128, 12.0, 1e-10),   # clips; tolerance
+        ("shg3", "radial", 5, 1024, 12.0, 2e-10)])        # machine-converged on the floor
+    def test_returned_residual_is_direct(self, name, kind, n, N, R, bound):
+        m = builtin_model(name)
+        g = GridSpec(kind, n, N, R)
+        result = petviashvili_solve(m, 1.0, g)
+        assert result.residual == elliptic_residual(m, g, result.profile, m.coeffs.b(1.0))
+        assert result.residual < bound
+
+    @pytest.mark.parametrize("name,N,R,iterations", [
+        ("shg3", 64, 8.0, 131), ("uv2", 64, 8.0, 126),
+        ("cascade3", 128, 12.0, 135)])  # cascade3 clips every iteration here
+    def test_iteration_counts_unchanged_by_the_carried_left_side(self, name, N, R, iterations):
+        # the counts of the solver that applied the left side every iteration
+        result = petviashvili_solve(builtin_model(name), 1.0, GridSpec("cartesian", 2, N, R))
+        assert result.residual < PETVIASHVILI_TOL
+        assert abs(result.iterations - iterations) <= 1
+
     def test_stabilization_factor_converged(self, gs_n3):
         # at the fixed point the stabilization factor is 1: re-apply one sweep
         state = gs_n3
@@ -131,6 +180,27 @@ class TestResolvent:
         assert u.dtype == np.float64 and u.shape == f.shape
         back = grids.shifted_apply(g, b, m.coeffs.gamma, u)
         assert np.max(np.abs(back - f)) <= 1e-12 * np.max(np.abs(f))
+
+    @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (2, 31), (3, 16)])
+    def test_cartesian_spectra_in_place_are_bit_identical(self, n, N):
+        # the resolvent, the real Laplacian and the shifted operator work on
+        # their spectrum or output in place, byte for byte as out of place
+        m = builtin_model("shg3")
+        g = GridSpec("cartesian", n, N, 3.0)
+        b, gamma = m.coeffs.b(1.0), m.coeffs.gamma
+        f = np.random.default_rng(N).normal(size=(m.l,) + g.shape)
+        f_before = f.copy()
+        fft, axes = grids.scipy_fft(), tuple(range(-n, 0))
+        ksq = grids._cartesian_half_ksq(g)
+        denom = np.stack([c * ksq + s for s, c in zip(b, gamma)])
+        solved = fft.irfftn(fft.rfftn(f, axes=axes) / denom, s=g.shape, axes=axes)
+        lap = fft.irfftn(-ksq * fft.rfftn(f, axes=axes), s=g.shape, axes=axes)
+        ones = (1,) * n
+        shifted = b.reshape((-1,) + ones) * f - gamma.reshape((-1,) + ones) * lap
+        assert grids.shifted_solver(g, b, gamma)(f).tobytes() == solved.tobytes()
+        assert grids.apply_laplacian(g, f).tobytes() == lap.tobytes()
+        assert grids.shifted_apply(g, b, gamma, f).tobytes() == shifted.tobytes()
+        assert np.array_equal(f, f_before)
 
 
 class TestPohozaev:
