@@ -7,18 +7,20 @@ part,
     d_t u_k = (i/alpha_k) f_k(u)                           [nonlinear]
 
 and is stepped with Strang composition: a half step of the nonlinear ODE by
-classical RK4, a full linear step, another nonlinear half step.  Between two
-samples of a fixed-step run the trailing half step of one step and the
-leading one of the next are taken as one RK4 substep over dt, which halves
-the nonlinear work and differs only by RK4 truncation.  The RK4 stages are
-built in three stage buffers owned by the stepper (stage input, current
-slope, running slope sum) with in-place ufuncs, the couplings are written
-straight into the slope buffer, and only the result of a substep is a new
-array; the input of a substep is never written.  The linear step is
-:func:`qnls.grids.propagator`, built once per step size: exact Fourier
-phases on Cartesian grids, Crank-Nicolson on the finite-difference
-Laplacian on radial grids.  Either way the scheme is globally second order
-in dt.
+classical RK4, a full linear step, another nonlinear half step.  The
+trailing half step of one step and the leading one of the next are taken as
+one RK4 substep at fixed and adaptive dt alike: an attempt is
+L(dt) N(owed + dt/2), owed being the half step the last accepted one left
+due, and N(owed) is applied on the side only for samples and the final
+state.  This halves the nonlinear work and differs from plain Strang steps
+only by RK4 truncation.  The RK4 stages are built in three stage buffers
+owned by the stepper (stage input, current slope, running slope sum) with
+in-place ufuncs, the couplings are written straight into the slope buffer,
+and only the result of a substep is a new array; a step's input is never
+written.  The linear step is :func:`qnls.grids.propagator`, built once per
+step size: exact Fourier phases on Cartesian grids, Crank-Nicolson on the
+finite-difference Laplacian on radial grids.  Either way the scheme is
+globally second order in dt.
 
 The nonlinear substep leaves the pointwise weighted density
 sum_k (alpha_k^2/gamma_k) |u_k|^2 invariant whenever the couplings satisfy
@@ -30,9 +32,10 @@ Blow-up is detected through the norm-divergence alternative: the run is
 flagged once the kinetic functional exceeds a configured multiple of its
 initial value, a sup norm passes a cap, or adaptive halving drives dt below
 its floor.  Non-finite values abort the run.  Full functional snapshots are
-taken only at sample times; in adaptive mode the steps between samples
-check just the charge (already computed by the step-size controller), the
-kinetic functional and the sup norm, on the raw component array.
+taken only at sample times; in adaptive mode every step checks just the
+charge (already computed by the step-size controller), the kinetic
+functional and the sup norm, on the state after the linear substep, so
+neither the controller nor the monitors depend on where samples fall.
 
 The closed-form references are the standing wave e^{i sigma_k omega t} psi_k
 and the n = 4 self-similar blow-up family, whose one entry point
@@ -65,7 +68,7 @@ class EvolveConfig:
     blowup_linf: float = 1e8
     adaptive: bool = False
     dt_min: float = 1e-7
-    step_drift_tol: float = 1e-8  # per-step charge drift triggering dt halving
+    step_drift_tol: float = 1e-8  # per-step charge drift (after the linear substep) halving dt
 
     def __post_init__(self):
         if not 0 < self.dt <= self.t_end:
@@ -115,8 +118,11 @@ class EvolutionOutcome:
     monitor names the check that ended the run: "kinetic" (K passed its
     multiple of K(0)), "linf" (a sup norm passed its cap), "dt_floor"
     (adaptive halving went below dt_min), "nonfinite" (aborted), or None
-    when the run reached t_end.  rejected counts adaptive step attempts
-    discarded by the charge-drift controller; steps counts accepted ones.
+    when the run reached t_end.  In adaptive mode the monitors read every
+    step's state after the linear substep, before the half step it still
+    owes, so a cap can be passed one accepted step later than on the
+    synchronized state.  rejected counts adaptive step attempts discarded
+    by the charge-drift controller; steps counts accepted ones.
     dt_smallest is the smallest step size the controller reached (the
     configured dt when it never halved); after "dt_floor" it is the size
     that fell below dt_min.
@@ -152,13 +158,13 @@ class Stepper:
 
     # -- linear substep ----------------------------------------------------
 
-    def linear_step(self, comps: np.ndarray, dt: float) -> np.ndarray:
+    def linear_step(self, comps: np.ndarray, dt: float, overwrite_x: bool = False) -> np.ndarray:
         step = self._propagators.get(dt)
         if step is None:
             c = self.model.coeffs
             step = self._propagators[dt] = grids.propagator(self.grid, dt, c.alpha, c.beta,
                                                             c.gamma)
-        return step(comps)
+        return step(comps, overwrite_x)
 
     # -- adaptive monitors ---------------------------------------------------
 
@@ -197,16 +203,16 @@ class Stepper:
         np.add(acc, k, out=acc)
         return np.add(comps, np.multiply(acc, h / 6.0, out=acc))
 
-    def step(self, comps: np.ndarray, dt: float, k: int = 1) -> np.ndarray:
-        """k Strang steps N(dt/2) L(dt) N(dt/2) as a new array, taken as
-        N(dt/2) [L(dt) N(dt)]^{k-1} L(dt) N(dt/2): adjacent half steps merge
-        into one RK4 substep over dt.  k = 1 is one plain step."""
-        c = self.nonlinear_half_step(comps, dt)
-        for _ in range(k - 1):
-            c = self.linear_step(c, dt)
-            c = self.nonlinear_half_step(c, 2.0 * dt)
-        c = self.linear_step(c, dt)
-        return self.nonlinear_half_step(c, dt)
+    def step(self, comps: np.ndarray, dt: float, owed: float = 0.0) -> np.ndarray:
+        """One step attempt L(dt) N(owed + dt/2) comps, as a new array.
+
+        The trailing half step N(dt/2) of a Strang step is left owed: the
+        next attempt absorbs it as owed = dt/2 (adjacent flows of one
+        splitting compose), and nonlinear_half_step(result, dt) completes
+        the step.  The linear substep reuses the nonlinear result's memory,
+        so no second state array is held beside comps (kept for a retry)."""
+        return self.linear_step(self.nonlinear_half_step(comps, 2.0 * owed + dt), dt,
+                                overwrite_x=True)
 
 
 def run_with_monitors(state: FieldState, config: EvolveConfig,
@@ -217,17 +223,20 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     configured tolerance (the quadratic coupling stiffens as amplitudes
     grow) and doubles it back after a stretch of clean steps; dt dropping
     below dt_min counts as blow-up, as do the kinetic and sup-norm caps,
-    which in adaptive mode are checked every step.  A full snapshot is taken
-    only at sample times (every sample_every steps and at t_end).  An
-    adaptive run's outcome does not depend on sample_every beyond the
-    diagnostics kept.  A fixed-step run takes the full steps up to the next
-    sample in one Stepper.step call, which merges their adjacent nonlinear
-    half steps, so its states depend on sample_every up to RK4 truncation;
-    its sample times and step counts do not.
+    which in adaptive mode are checked every step.  One loop serves both
+    modes: it carries x, the state after the last linear substep, and owed,
+    half the last accepted dt; each attempt is Stepper.step(x, dt, owed),
+    and a rejected one retries from the same x and owed.  The synchronized
+    state N(owed) x is computed on the side, only for a snapshot (every
+    sample_every steps and at t_end) and for the final state; the adaptive
+    controller and monitors read x.  So neither mode's outcome depends on
+    sample_every beyond the diagnostics kept.
     """
     stepper = Stepper(state.model, state.grid)
-    comps = np.array(state.components)
-    t = state.t
+    # x is the state after the last linear substep, still owing the half step
+    # N(owed); comps is the synchronized N(owed) x, made only when needed
+    x = comps = np.array(state.components)
+    owed, t = 0.0, state.t
     t_end = state.t + config.t_end
     dt = dt_smallest = config.dt
     diag = DiagnosticsSeries([snapshot_of(state, with_variance=with_variance)])
@@ -239,12 +248,7 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     eps_end = 1e-12 * max(1.0, abs(t_end))
     while t < t_end - eps_end:
         dt_eff = min(dt, t_end - t)
-        k, t_next = 1, t + dt_eff
-        # fixed dt: merge the full steps up to the next sample into one call
-        while (not config.adaptive and (steps + k) % config.sample_every
-               and t_end - t_next >= dt):
-            k, t_next = k + 1, t_next + dt
-        new = stepper.step(comps, dt_eff, k)
+        new = stepper.step(x, dt_eff, owed)
         if config.adaptive:
             while True:
                 q_new = stepper.charge(new)
@@ -257,31 +261,32 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
                 clean_steps = 0
                 if dt_eff < config.dt_min:
                     break
-                new = stepper.step(comps, dt_eff)
+                new = stepper.step(x, dt_eff, owed)
             if dt_eff < config.dt_min:
                 status, t_detect, monitor = BLOWN_UP, t, "dt_floor"
                 break
-            q_prev, t_next = q_new, t + dt_eff
+            q_prev = q_new
             clean_steps += 1
             if clean_steps >= 16 and dt < config.dt:
                 dt = min(2.0 * dt, config.dt)
                 clean_steps = 0
-            # blow-up is fast once started: watch the cheap monitors per step
             amp = float(np.max(np.abs(new)))
             if not math.isfinite(amp):
                 status, t_detect, monitor = ABORTED, t, "nonfinite"
                 break
-            if amp > config.blowup_linf:
-                comps, t = new, t_next
-                status, t_detect, monitor = BLOWN_UP, t, "linf"
-                break
-        comps, t, steps = new, t_next, steps + k
-        if steps % config.sample_every == 0 or t >= t_end - eps_end:
+        x, owed, comps = new, 0.5 * dt_eff, None
+        t, steps = t + dt_eff, steps + 1
+        sample = steps % config.sample_every == 0 or t >= t_end - eps_end
+        if sample:
+            comps = stepper.nonlinear_half_step(x, 2.0 * owed)
             snap = snapshot_of(state.with_components(comps, t), with_variance=with_variance)
             diag.append(snap)
+        if config.adaptive:
+            # blow-up is fast once started: watch the cheap monitors on x
+            # every step, samples or not
+            Q, K, linf = q_new, stepper.kinetic(x), (amp,)
+        elif sample:
             Q, K, linf = snap.Q, snap.K, snap.linf
-        elif config.adaptive:
-            Q, K, linf = q_new, stepper.kinetic(new), (amp,)
         else:
             continue
         if not all(map(math.isfinite, (Q, K, *linf))):
@@ -293,6 +298,8 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
         if max(linf) > config.blowup_linf:
             status, t_detect, monitor = BLOWN_UP, t, "linf"
             break
+    if comps is None:
+        comps = stepper.nonlinear_half_step(x, 2.0 * owed)
     final = state.with_components(comps, t)
     return EvolutionOutcome(status=status, final=final, diagnostics=diag,
                             t_detect=t_detect, steps=steps, dt_final=dt,
@@ -301,20 +308,6 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
 
 # ---------------------------------------------------------------------------
 # closed-form references
-
-
-def apply_quadratic_chirp(state: FieldState, b: float) -> FieldState:
-    """Multiply by the focusing phases e^{-i b sigma_k |x|^2}.
-
-    The sigma_k weights keep the chirp inside the coupled phase family, so it
-    changes neither the charge nor the interaction term; it seeds an inward
-    flux (negative variance rate) used to prepare negative- or zero-energy
-    data for finite-time-collapse runs.
-    """
-    sigma = state.model.coeffs.sigma
-    rsq = grids.radius_sq(state.grid)
-    phases = np.exp(-1j * b * sigma.reshape((state.l,) + (1,) * rsq.ndim) * rsq)
-    return FieldState(state.model, state.grid, phases * state.components, state.t)
 
 
 def standing_wave(profile: FieldState, omega: float, t: float) -> FieldState:

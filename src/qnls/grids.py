@@ -265,9 +265,10 @@ def shifted_apply(grid: GridSpec, shift, scale, values: np.ndarray) -> np.ndarra
 
 
 def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
-    """Return step(u), the linear substep of length dt of
+    """Return step(u, overwrite_x=False), the linear substep of length dt of
     d_t u_k = (i/alpha_k)(gamma_k Lap u_k - beta_k u_k) for a stack u, as a
-    new array: the exact Fourier phases exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k)
+    new array (in u's memory with overwrite_x on Cartesian grids): the exact
+    Fourier phases exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k)
     on Cartesian grids; on radial grids Crank-Nicolson, which with
     c_k = i dt/(2 alpha_k) and M_k = (1 + c_k beta_k) I - c_k gamma_k Lap_h
     solves M_k u_k' = 2 u_k - M_k u_k, that is u_k' = 2 M_k^{-1} u_k - u_k.
@@ -279,8 +280,8 @@ def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
                            for a, b, g in zip(alpha, beta, gamma)])
         axes, fft = tuple(range(-grid.n, 0)), scipy_fft()
 
-        def step(u: np.ndarray) -> np.ndarray:
-            uhat = fft.fftn(u, axes=axes)
+        def step(u: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+            uhat = fft.fftn(u, axes=axes, overwrite_x=overwrite_x)
             uhat *= phases
             return fft.ifftn(uhat, axes=axes, overwrite_x=True)
 
@@ -288,7 +289,7 @@ def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
     c = 1j * dt / (2.0 * alpha)
     solve = shifted_solver(grid, 1.0 + c * beta, c * gamma)
 
-    def step(u: np.ndarray) -> np.ndarray:
+    def step(u: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
         out = solve(u)  # M^{-1} u, a new array
         return np.subtract(np.multiply(out, 2.0, out=out), u, out=out)
 

@@ -193,9 +193,13 @@ def _petviashvili_iterate(model, grid, psi, b, solve):
             since_best += 1
         # machine-converged: the residual sits on the roundoff floor and no
         # longer improves; the best iterate (its f_k kept once its residual is
-        # below max(floor, 1e-6)) is returned with its direct residual
+        # below max(floor, 1e-6)) is returned with its direct residual, which
+        # the clip can leave above the carried one: then the attempt stalled
         if since_best > 50 and abs(S - 1.0) < 1e-12 and best_fk is not None:
-            return best_psi, float(np.max(np.abs(lhs_of(best_psi) - best_fk))), iteration
+            res = float(np.max(np.abs(lhs_of(best_psi) - best_fk)))
+            if res > max(floor, 1e-6):
+                raise ConvergenceError(f"stalled at residual {res:.3e}")
+            return best_psi, res, iteration
     raise ConvergenceError(
         f"no convergence in {PETVIASHVILI_MAX_ITER} iterations (residual {res:.3e}, S-1 {S - 1:.3e})")
 

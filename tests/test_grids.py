@@ -461,8 +461,10 @@ class TestSpectralOperatorsMatchNumpy:
         solved = shifted_solver(g, shift, scale)(f)
         assert solved.dtype == np.float64
         self._close(solved, ref["solve"](shift, scale, f))
-        self._close(propagator(g, 0.1, alpha, beta, gamma)(u),
-                    ref["step"](0.1, alpha, beta, gamma, u))
+        step = propagator(g, 0.1, alpha, beta, gamma)
+        self._close(step(u), ref["step"](0.1, alpha, beta, gamma, u))
+        # the in-place transform that Stepper.step asks for changes no bit
+        assert np.array_equal(step(u.copy(), overwrite_x=True), step(u))
         self._close(gradient_components(g, u[0]), ref["grad"](u[0]))
         self._close(grad_sq_integral(g, u[0]), ref["grad_sq"](u[0]))
         assert f.tobytes() == keep_f and u.tobytes() == keep_u

@@ -148,6 +148,14 @@ class TestPetviashvili:
         assert result.residual == elliptic_residual(m, g, result.profile, m.coeffs.b(1.0))
         assert result.residual < bound
 
+    @pytest.mark.parametrize("name", ["shg3", "uv2", "cascade3"])
+    def test_stalled_clip_raises(self, name):
+        # at h = 0.5 the clip stalls every tilt on the machine-converged
+        # branch with a direct residual of 7e-6 to 1.1e-4, above its 1e-6
+        # bound: each attempt must fail rather than return that residual
+        with pytest.raises(ConvergenceError, match="stalled at residual"):
+            petviashvili_solve(builtin_model(name), 1.0, GridSpec("cartesian", 2, 64, 16.0))
+
     @pytest.mark.parametrize("name,N,R,iterations", [
         ("shg3", 64, 8.0, 131), ("uv2", 64, 8.0, 126),
         ("cascade3", 128, 12.0, 135)])  # cascade3 clips every iteration here
