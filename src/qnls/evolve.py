@@ -19,14 +19,13 @@ in-place ufuncs, the couplings are written straight into the slope buffer,
 and only the result of a substep is a new array; a step's input is never
 written.  The linear step is :func:`qnls.grids.propagator`, built once per
 step size: exact Fourier phases on Cartesian grids, Crank-Nicolson on the
-finite-difference Laplacian on radial grids.  Either way the scheme is
-globally second order in dt.
+finite-volume Laplacian on radial grids.  Either way the linear substep
+keeps the discrete charge and the scheme is globally second order in dt.
 
 The nonlinear substep leaves the pointwise weighted density
 sum_k (alpha_k^2/gamma_k) |u_k|^2 invariant whenever the couplings satisfy
 the phase-balance identity Im sum_k (alpha_k/gamma_k) f_k(u) conj(u_k) = 0,
-so charge drift comes only from the RK4 truncation (O(dt^5) per step) and,
-on radial grids, the mild non-normality of the difference operator.
+so charge drift comes only from the RK4 truncation (O(dt^5) per step).
 
 Blow-up is detected through the norm-divergence alternative: the run is
 flagged once the kinetic functional exceeds a configured multiple of its
@@ -68,7 +67,7 @@ class EvolveConfig:
     blowup_linf: float = 1e8
     adaptive: bool = False
     dt_min: float = 1e-7
-    step_drift_tol: float = 1e-8  # per-step charge drift (after the linear substep) halving dt
+    step_drift_tol: float = 1e-8  # per-step charge drift (the RK4 truncation) that halves dt
 
     def __post_init__(self):
         if not 0 < self.dt <= self.t_end:

@@ -11,12 +11,12 @@ Two grid kinds cover the laboratory:
   through the full complex transforms.
 
 * Radial: nodes r_i = i h on [0, R_max], h = R_max / N, holding radially
-  symmetric profiles in dimension 1 <= n <= 5.  The Laplacian is the
-  second-order finite difference of d_rr + ((n-1)/r) d_r with an even ghost
-  point across the origin and a homogeneous Dirichlet value at R_max; at
-  r = 0 the n-dimensional limit gives Lap f(0) ~= 2 n (f(h) - f(0)) / h^2.
-  Quadrature is the trapezoid rule against the surface measure
-  omega_{n-1} r^{n-1} dr with omega_{n-1} = 2 pi^{n/2} / Gamma(n/2).
+  symmetric profiles in dimension 1 <= n <= 5, with a Dirichlet value at
+  r_N = R_max.  The quadrature weights are cell volumes: omega_{n-1} h r_i^{n-1}
+  for i >= 1 (omega_{n-1} = 2 pi^{n/2} / Gamma(n/2)), the ball of radius h/2
+  at the origin.  The Laplacian is a second-order finite-volume stencil,
+  self-adjoint in that inner product (:func:`radial_laplacian_banded`), and
+  K is its Dirichlet form, so Crank-Nicolson keeps the charge.
 
 Truncation at R_max is justified by the exponential decay of the localized
 profiles this grid is meant for; callers pick R_max so the tail is below
@@ -159,10 +159,16 @@ def quadrature_weights(grid: GridSpec) -> np.ndarray:
     """Weights w with integrate(f) = sum(w * f)."""
     if grid.kind == CARTESIAN:
         return np.full(grid.shape, grid.h**grid.n)
-    r = grid.axis()
-    w = np.full(grid.N, grid.h)
-    w[0] *= 0.5  # trapezoid endpoint; the Dirichlet node at R_max is implicit
-    return surface_area_coefficient(grid.n) * w * r ** (grid.n - 1)
+    w = grid.h * grid.axis() ** (grid.n - 1)
+    w[0] = (grid.h / 2.0) ** grid.n / grid.n  # the ball of radius h/2
+    return surface_area_coefficient(grid.n) * w
+
+
+@lru_cache(maxsize=64)
+def _radial_faces(grid: GridSpec) -> np.ndarray:
+    """Face areas S_{i+1/2} = n C_i / r_{i+1/2}, C_i = sum_{j<=i} w_j (a ball's
+    area is n V(r) / r), for which Lap_h r^2 = 2n holds exactly."""
+    return grid.n * np.cumsum(quadrature_weights(grid)) / (grid.h * (np.arange(grid.N) + 0.5))
 
 
 @lru_cache(maxsize=64)
@@ -173,22 +179,19 @@ def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
     and row 2 the subdiagonal a[i+1, i] at column i (the LAPACK band
     layout).  It is the one place the radial stencil is written:
     :func:`apply_laplacian` multiplies by these bands and
-    :func:`shifted_solver` factors them.
+    :func:`shifted_solver` factors them.  With the faces S of
+    :func:`_radial_faces`, S_{-1/2} = 0 and u_N = 0, (Lap_h u)_i =
+    [S_{i+1/2} (u_{i+1} - u_i) - S_{i-1/2} (u_i - u_{i-1})] / (h w_i), so W Lap_h
+    is symmetric (summation by parts; Mattsson & Nordstrom 2004).
     """
     if grid.kind != RADIAL:
         raise ValueError("banded Laplacian is only defined on radial grids")
-    N, h, n = grid.N, grid.h, grid.n
-    r = grid.axis()
-    ab = np.zeros((3, N))
-    # row 0: origin limit 2 n (f_1 - f_0) / h^2
-    ab[1, 0] = -2.0 * n / h**2
-    ab[0, 1] = 2.0 * n / h**2
-    i = np.arange(1, N)
-    ab[1, i] = -2.0 / h**2
-    upper = 1.0 / h**2 + (n - 1) / (2.0 * h * r[i])
-    lower = 1.0 / h**2 - (n - 1) / (2.0 * h * r[i])
-    ab[0, i[:-1] + 1] = upper[:-1]  # a[i, i+1]; the last row loses it (Dirichlet)
-    ab[2, i - 1] = lower
+    S, hw = _radial_faces(grid), grid.h * quadrature_weights(grid)
+    ab = np.zeros((3, grid.N))
+    ab[0, 1:] = S[:-1] / hw[:-1]  # a[i, i+1] = S_{i+1/2} / (h w_i)
+    ab[2, :-1] = S[:-1] / hw[1:]  # a[i+1, i] = S_{i+1/2} / (h w_{i+1})
+    ab[1] = -S / hw  # the last face meets u_N = 0
+    ab[1, 1:] -= ab[2, :-1]
     return ab
 
 
@@ -319,44 +322,56 @@ def integrate(grid: GridSpec, values: np.ndarray) -> float:
     return float(np.sum(quadrature_weights(grid) * np.real(values)))
 
 
-def _abs_sq(values: np.ndarray) -> np.ndarray:
-    """|f|^2 pointwise as re^2 + im^2 (no square root)."""
-    if not np.iscomplexobj(values):
-        return np.square(values)
-    sq = np.square(values.real)
-    sq += np.square(values.imag)
-    return sq
+@lru_cache(maxsize=128)
+def _square_weights(grid: GridSpec, faces: bool) -> np.ndarray:
+    """The radial weights of :func:`_sum_sq`, each one twice."""
+    return np.repeat(_radial_faces(grid) / grid.h if faces else quadrature_weights(grid), 2)
+
+
+def _sum_sq(grid: GridSpec, values: np.ndarray, faces: bool = False) -> np.ndarray:
+    """sum_i w_i |f_i|^2 over the grid axes of each field of values (leading
+    axes free), w the quadrature weights (h^n on Cartesian grids) or, with
+    faces, the radial face areas over h: one pass over the real view (re and
+    im interleaved), on Cartesian grids with no temporary.  np.vecdot reduces
+    each field on its own, so stacked sums equal per-field sums bit for bit."""
+    values = np.ascontiguousarray(values)
+    lead = values.shape[:values.ndim - len(grid.shape)]
+    rows = values.view(values.real.dtype).reshape(lead + (-1,))
+    if grid.kind == CARTESIAN:
+        return grid.h**grid.n * np.vecdot(rows, rows)
+    w = _square_weights(grid, faces)
+    return np.vecdot(np.square(rows), w if np.iscomplexobj(values) else w[::2])
 
 
 def norm_sq(grid: GridSpec, values: np.ndarray) -> float:
-    """Quadrature of |f|^2."""
-    return float(np.sum(quadrature_weights(grid) * _abs_sq(values)))
+    """Quadrature of |f|^2, summed over the fields of a stack."""
+    return float(np.sum(_sum_sq(grid, values)))
 
 
 def weighted_density(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     """sum_k weights_k |f_k|^2 pointwise over a stack of fields f_k (leading axis k)."""
-    return np.tensordot(weights, _abs_sq(values), axes=1)
+    sq = np.square(values.real)
+    if np.iscomplexobj(values):
+        sq += np.square(values.imag)
+    return np.tensordot(weights, sq, axes=1)
 
 
 def weighted_norm_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) -> float:
     """sum_k weights_k ||f_k||^2 over a stack of fields f_k (leading axis k)."""
-    axes = tuple(range(1, values.ndim))
-    per_field = np.sum(quadrature_weights(grid) * _abs_sq(values), axis=axes)
-    return float(np.sum(weights * per_field))
+    return float((weights * _sum_sq(grid, values)).sum())
 
 
 def _radial_grad_sq(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Quadrature of |d/dr f|^2 per field (the last axis is r), without
-    building the derivative: as in :func:`radial_derivative`, d/dr f
-    vanishes at r = 0, is (f_{i+1} - f_{i-1})/(2h) at the interior nodes and
-    -f_{N-2}/(2h) at the last node, next to the Dirichlet value."""
-    w = quadrature_weights(grid)
-    interior = np.sum(w[1:-1] * _abs_sq(values[..., 2:] - values[..., :-2]), axis=-1)
-    return (interior + w[-1] * _abs_sq(values[..., -2])) / (2.0 * grid.h) ** 2
+    """The Dirichlet form sum_i S_{i+1/2} |f_{i+1} - f_i|^2 / h per field (the
+    last axis is r, f_N = 0): the quadratic form of -Lap_h in the quadrature
+    inner product, so K and the solvers share one operator."""
+    diff = np.negative(values)
+    diff[..., :-1] += values[..., 1:]
+    return _sum_sq(grid, diff, faces=True)
 
 
 def grad_sq_integral(grid: GridSpec, values: np.ndarray) -> float:
-    """Quadrature of |grad f|^2 (spectral on Cartesian, FD on radial)."""
+    """Quadrature of |grad f|^2 (spectral on Cartesian, the Dirichlet form on radial)."""
     if grid.kind == CARTESIAN:
         axes = tuple(range(-grid.n, 0))
         vhat = scipy_fft().fftn(values, axes=axes)
@@ -368,7 +383,7 @@ def grad_sq_integral(grid: GridSpec, values: np.ndarray) -> float:
 def weighted_grad_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) -> float:
     """sum_k weights_k ||grad f_k||^2 over a stack of fields f_k (leading axis k)."""
     if grid.kind == RADIAL:
-        return float(np.sum(weights * _radial_grad_sq(grid, values)))
+        return float((weights * _radial_grad_sq(grid, values)).sum())
     # per component: at 3x128^2 one stacked fftn takes 1.6x the time and 3x the peak memory
     return float(sum(w * grad_sq_integral(grid, f) for w, f in zip(weights, values)))
 
@@ -481,15 +496,7 @@ def symmetric_decreasing_rearrangement(field: Field) -> Field:
     ends = starts + w
     lo = np.interp(starts, cum_mass, cum_int)
     hi = np.interp(ends, cum_mass, cum_int)
-    out = np.zeros_like(vals)
-    pos = w > 0
-    out[pos] = (hi[pos] - lo[pos]) / w[pos]
-    if np.any(~pos):
-        # zero-measure bins (the r=0 node for n>1): the essential sup there,
-        # which keeps already-non-increasing profiles fixed
-        k = np.searchsorted(cum_mass[1:], starts[~pos], side="left")
-        out[~pos] = sv[np.minimum(k, sv.size - 1)]
-    return Field(grid, out.astype(complex))
+    return Field(grid, ((hi - lo) / w).astype(complex))  # every radial weight is positive
 
 
 # ---------------------------------------------------------------------------

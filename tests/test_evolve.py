@@ -414,7 +414,7 @@ class TestMonitors:
         for every in (1, 10):
             calls.update(step=0, half=0)
             outs.append(run_with_monitors(data, EvolveConfig(
-                dt=1e-3, t_end=5.0, sample_every=every, blowup_K_factor=2.0,
+                dt=1e-3, t_end=5.0, sample_every=every, blowup_K_factor=10.0,
                 adaptive=True, dt_min=1e-7, step_drift_tol=1e-5)))
             counts.append(dict(calls))
         dense, sparse = outs
@@ -457,7 +457,7 @@ class TestStepMonitors:
         gs = petviashvili_solve(builtin_model("shg3"), 1.0, GridSpec("radial", 5, 128, 12.0))
         data = FieldState(gs.model, gs.grid, 1.2 * gs.profile.astype(complex), 0.0)
         out = run_with_monitors(data, EvolveConfig(
-            dt=1e-3, t_end=5.0, sample_every=1, blowup_K_factor=2.0, adaptive=True,
+            dt=1e-3, t_end=5.0, sample_every=1, blowup_K_factor=10.0, adaptive=True,
             dt_min=1e-7, step_drift_tol=1e-5), with_variance=False)
         assert out.rejected > 0
         spacing = np.diff(out.diagnostics.column("t"))

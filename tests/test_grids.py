@@ -139,17 +139,50 @@ class TestRadialOperators:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_quadratures_match_derivative_and_modulus(self, n, dtype):
-        # the squared norms skip the square root and the derivative array;
-        # against the plain formulas they agree to rounding
+        # K is the quadratic form of -Lap_h in the quadrature inner product,
+        # and the squared norm skips the square root; against the plain
+        # formulas both agree to rounding
         g = GridSpec("radial", n, 301, 9.0)
         rng = np.random.default_rng(n)
         v = rng.normal(size=301).astype(dtype)
         if dtype is complex:
             v += 1j * rng.normal(size=301)
         w = quadrature_weights(g)
-        grad_ref = np.sum(w * np.abs(radial_derivative(g, v)) ** 2)
+        grad_ref = -np.real(np.sum(w * np.conj(v) * apply_laplacian(g, v)))
         assert grad_sq_integral(g, v) == pytest.approx(grad_ref, rel=1e-14, abs=0.0)
         assert norm_sq(g, v) == pytest.approx(np.sum(w * np.abs(v) ** 2), rel=1e-14, abs=0.0)
+
+
+class TestConservativeRadialOperator:
+    """Summation by parts: W Lap_h is symmetric, so -Lap_h is self-adjoint in
+    the quadrature inner product and Crank-Nicolson keeps the charge."""
+
+    grids = [GridSpec("radial", n, N, extent) for n in range(1, 6)
+             for N, extent in ((256, 12.0), (101, 3.0))]
+
+    @pytest.mark.parametrize("g", grids, ids=str)
+    def test_weighted_laplacian_symmetric(self, g):
+        ab, w = radial_laplacian_banded(g), quadrature_weights(g)
+        upper, lower = w[:-1] * ab[0, 1:], w[1:] * ab[2, :-1]  # (W A)[i, i+1], (W A)[i+1, i]
+        assert np.max(np.abs(upper - lower)) <= 1e-15 * np.max(np.abs(w * ab[1]))
+
+    @pytest.mark.parametrize("g", grids, ids=str)
+    def test_laplacian_of_radius_squared(self, g):
+        # exact in exact arithmetic away from the Dirichlet node; rounding
+        # enters through r_{i+1}^2 - r_i^2 over h^2
+        lap = apply_laplacian(g, radius_sq(g))
+        assert np.max(np.abs(lap[:-1] - 2 * g.n)) <= 1e-14 * g.N**2
+
+    @pytest.mark.parametrize("g", grids, ids=str)
+    @pytest.mark.parametrize("dt", [1e-3, 0.5])
+    def test_crank_nicolson_keeps_charge(self, g, dt):
+        rng = np.random.default_rng(g.N + g.n)
+        u = rng.normal(size=(3, g.N)) + 1j * rng.normal(size=(3, g.N))
+        step = propagator(g, dt, np.array([1.0, 2.0, 0.5]), np.array([0.5, -1.0, 0.0]),
+                          np.array([1.0, 0.5, 2.0]))
+        out = step(u)
+        for k in range(3):
+            assert norm_sq(g, out[k]) == pytest.approx(norm_sq(g, u[k]), rel=1e-13, abs=0.0)
 
 
 def _banded_reference(grid, shift, scale, rhs):

@@ -365,6 +365,20 @@ class TestConstrainedMinimization:
         assert modulated_distance(r.minimizer, gs.state, relative=False) < 1e-5
         assert r.I_nu == pytest.approx(gs.K - 2 * gs.P, rel=1e-9)
 
+    def test_radial_flow_converges(self):
+        # K is the quadratic form of the solver's own Lap_h, so the flow's
+        # fixed point solves the discrete Euler-Lagrange equation
+        r = constrained_minimize(builtin_model("uv2"), 1.0, GridSpec("radial", 1, 256, 12.0))
+        assert r.residual < 1e-6 and r.iterations < 1000
+
+    def test_radial_minimizer_matches_stationary_branch(self):
+        m, g = builtin_model("uv2"), GridSpec("radial", 1, 256, 15.0)
+        gs = petviashvili_solve(m, 1.0, g)
+        r = constrained_minimize(m, gs.Q, g)
+        assert r.lagrange_theta == pytest.approx(-1.0, abs=1e-6)
+        assert modulated_distance(r.minimizer, gs.state, relative=False) < 1e-5
+        assert r.I_nu == pytest.approx(gs.K - 2 * gs.P, rel=1e-9)
+
     def test_charge_constraint_enforced(self, cmin_setup):
         m, g, _ = cmin_setup
         r = constrained_minimize(m, 3.21, g)
