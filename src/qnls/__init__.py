@@ -11,7 +11,7 @@ The package splits into five layers:
 * :mod:`qnls.evolve` -- Strang split-step integration with conservation
   monitoring, closed-form reference solutions, and blow-up detection.
 * :mod:`qnls.groundstate` -- the stabilized fixed-point solver for the
-  stationary system, constrained minimization, and instability data.
+  stationary system, constrained minimization, and instability constructions.
 
 ``qnls.cli`` wires everything into the ``qnls`` command.
 """
@@ -32,19 +32,17 @@ from .grids import (Field, FieldState, GridSpec, apply_laplacian, grad_sq_integr
                     integrate, momentum_density_integral, norm_sq, read_snapshot,
                     symmetric_decreasing_rearrangement, write_snapshot)
 from .functionals import (FunctionalSnapshot, ThresholdReport, action, charge, energy,
-                          interaction, kinetic, linear_term, local_virial_rhs,
-                          sharp_constant, snapshot_of, threshold_report, variance,
-                          variance_rate, virial_functional, virial_rhs,
-                          virial_rhs_gradient_form, weighted_mass, weinstein_infimum,
-                          weinstein_quotient)
+                          interaction, kinetic, linear_term, sharp_constant, snapshot_of,
+                          threshold_report, variance, variance_rate, virial_functional,
+                          virial_rhs, virial_rhs_gradient_form, weighted_mass,
+                          weinstein_infimum, weinstein_quotient)
 from .evolve import (DiagnosticsSeries, EvolutionOutcome, EvolveConfig, pde_residual,
                      pseudo_conformal_with_rate, run_with_monitors, standing_wave,
                      virial_check)
 from .groundstate import (ConstrainedMinResult, ConvergenceError, GroundStateResult,
-                          InstabilityData5D, amplified_initializer,
-                          constrained_minimize, dilated_initializer, instability_data,
-                          lambda_star, modulated_distance, normalize_KQ1,
-                          petviashvili_solve, read_groundstate_archive,
+                          amplified_initializer, constrained_minimize,
+                          dilated_initializer, lambda_star, modulated_distance,
+                          normalize_KQ1, petviashvili_solve, read_groundstate_archive,
                           scale_to_solution, write_groundstate_archive)
 
 __version__ = "0.1.0"

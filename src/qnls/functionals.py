@@ -23,12 +23,10 @@ hold pointwise.
 from __future__ import annotations
 
 import io
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from . import grids
 from .grids import FieldState
@@ -122,144 +120,6 @@ def virial_functional(state: FieldState) -> float:
     if state.grid.n != 5:
         raise ValueError("the K - 5/2 P functional is specific to n = 5")
     return kinetic(state) - 2.5 * interaction(state)
-
-
-# ---------------------------------------------------------------------------
-# smooth virial cutoff
-#
-# chi(r) = r^2 for r <= 1, chi = 0 for r >= 3, chi'' <= 2 everywhere.  On the
-# transition band, with s = (r-1)/2 in [0, 1], the curvature is lowered by a
-# non-negative profile psi,
-#
-#     chi''(r) = 2 - psi(s),   psi = 2 I(8,3;s) + M beta(4,b;s),
-#
-# a smooth ramp 0 -> 2 (regularized incomplete beta I) plus a beta-density
-# bump.  The weights M = 27/11 and b = 380/13 are fixed by the two matching
-# conditions chi'(3) = 0 and chi(3) = 0 (total curvature mass 6 with first
-# moment placing its centroid at s = 1/4).  psi >= 0 keeps chi'' <= 2
-# globally, and the contact orders at the seams leave chi of class C^4, so
-# the radial bilaplacian of the scaled cutoff stays continuous.
-
-_CHI_M = 27.0 / 11.0
-_CHI_BEXP = 380.0 / 13.0
-_CHI_MU_RAMP = 8.0 / 11.0          # mean of the beta(8,3) ramp density
-_CHI_S2_RAMP = 6.0 / 11.0          # second moment of the ramp density
-_CHI_MU_BUMP = 13.0 / 108.0        # mean of the beta(4,b) bump
-_CHI_INV_B83 = 360.0               # 1 / B(8,3)
-
-
-def _beta_B(a: float, b: float) -> float:
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
-
-
-_CHI_INV_B4B = 1.0 / _beta_B(4.0, _CHI_BEXP)
-
-
-def _chi_pieces(r):
-    r = np.asarray(r, dtype=float)
-    inner = r <= 1.0
-    outer = r >= 3.0
-    band = ~inner & ~outer
-    s = np.clip((r - 1.0) / 2.0, 0.0, 1.0)
-    return r, inner, band, s
-
-
-def _psi(s):
-    bump = _CHI_INV_B4B * s**3 * (1.0 - s) ** (_CHI_BEXP - 1.0)
-    return 2.0 * betainc(8, 3, s) + _CHI_M * bump
-
-
-def _psi_mass(s):
-    """int_0^s psi."""
-    ramp = s * betainc(8, 3, s) - _CHI_MU_RAMP * betainc(9, 3, s)
-    return 2.0 * ramp + _CHI_M * betainc(4, _CHI_BEXP, s)
-
-
-def _psi_first_moment(s):
-    """int_0^s sigma psi(sigma) d sigma."""
-    ramp = 0.5 * s**2 * betainc(8, 3, s) - 0.5 * _CHI_S2_RAMP * betainc(10, 3, s)
-    return 2.0 * ramp + _CHI_M * _CHI_MU_BUMP * betainc(5, _CHI_BEXP, s)
-
-
-def chi_value(r) -> np.ndarray:
-    r, inner, band, s = _chi_pieces(r)
-    val = r**2 - 4.0 * (s * _psi_mass(s) - _psi_first_moment(s))
-    return np.where(inner, r**2, np.where(band, val, 0.0))
-
-
-def chi_d1(r) -> np.ndarray:
-    r, inner, band, s = _chi_pieces(r)
-    val = 2.0 * r - 2.0 * _psi_mass(s)
-    return np.where(inner, 2.0 * r, np.where(band, val, 0.0))
-
-
-def chi_d2(r) -> np.ndarray:
-    r, inner, band, s = _chi_pieces(r)
-    val = 2.0 - _psi(s)
-    return np.where(inner, 2.0, np.where(band, val, 0.0))
-
-
-def chi_d3(r) -> np.ndarray:
-    r, inner, band, s = _chi_pieces(r)
-    b = _CHI_BEXP
-    dramp = _CHI_INV_B83 * s**7 * (1.0 - s) ** 2
-    dbump = _CHI_INV_B4B * (3.0 * s**2 * (1.0 - s) ** (b - 1.0)
-                            - (b - 1.0) * s**3 * (1.0 - s) ** (b - 2.0))
-    val = -0.5 * (2.0 * dramp + _CHI_M * dbump)
-    return np.where(band, val, 0.0)
-
-
-def chi_d4(r) -> np.ndarray:
-    r, inner, band, s = _chi_pieces(r)
-    b = _CHI_BEXP
-    d2ramp = _CHI_INV_B83 * (7.0 * s**6 * (1.0 - s) ** 2 - 2.0 * s**7 * (1.0 - s))
-    d2bump = _CHI_INV_B4B * (6.0 * s * (1.0 - s) ** (b - 1.0)
-                             - 6.0 * (b - 1.0) * s**2 * (1.0 - s) ** (b - 2.0)
-                             + (b - 1.0) * (b - 2.0) * s**3 * (1.0 - s) ** (b - 3.0))
-    val = -0.25 * (2.0 * d2ramp + _CHI_M * d2bump)
-    return np.where(band, val, 0.0)
-
-
-def chi_laplacian(r, n: int) -> np.ndarray:
-    """Lap chi for radial chi in dimension n; exactly 2n on r <= 1."""
-    r = np.asarray(r, dtype=float)
-    inner = r <= 1.0
-    rs = np.where(inner | (r == 0.0), 1.0, r)
-    val = chi_d2(r) + (n - 1) * chi_d1(r) / rs
-    return np.where(inner, 2.0 * n, val)
-
-
-def chi_bilaplacian(r, n: int) -> np.ndarray:
-    """Lap^2 chi; vanishes on r <= 1 and r >= 3."""
-    r = np.asarray(r, dtype=float)
-    inner = r <= 1.0
-    rs = np.where(inner | (r == 0.0), 1.0, r)
-    val = (chi_d4(r) + 2.0 * (n - 1) * chi_d3(r) / rs
-           + (n - 1) * (n - 3) * chi_d2(r) / rs**2
-           - (n - 1) * (n - 3) * chi_d1(r) / rs**3)
-    return np.where(inner, 0.0, val)
-
-
-def local_virial_rhs(state: FieldState, R: float) -> float:
-    """V'' against the scaled cutoff chi_R(r) = R^2 chi(r/R) in place of |x|^2.
-
-    Normalized to the variance V = sum (alpha^2/gamma) int chi_R |u|^2, so for
-    states supported in r < R this reduces to the gradient form 8 K - 4 n P
-    (there chi_R'' = 2, Lap chi_R = 2n and Lap^2 chi_R = 0).
-    """
-    grid = state.grid
-    if grid.kind != grids.RADIAL:
-        raise ValueError("the cutoff virial identity is for radial states")
-    n = grid.n
-    rho = grid.axis() / R
-    gam = state.model.coeffs.gamma
-    grad_sq = grids.weighted_density(gam, grids.radial_derivative(grid, state.components))
-    mass = grids.weighted_density(gam, state.components)
-    reF = np.real(state.model.eval_F(state.components))
-    term1 = 4.0 * grids.integrate(grid, chi_d2(rho) * grad_sq)
-    term2 = -grids.integrate(grid, chi_bilaplacian(rho, n) / R**2 * mass)
-    term3 = -2.0 * grids.integrate(grid, chi_laplacian(rho, n) * reF)
-    return term1 + term2 + term3
 
 
 # ---------------------------------------------------------------------------

@@ -29,8 +29,10 @@ stencil is written), :func:`shifted_apply` and its inverse
 :func:`shifted_solver`, the linear substep :func:`propagator`, and the
 kinetic functional :func:`weighted_grad_sq`.
 
-Every Cartesian transform goes through :func:`scipy_fft`, which imports
-``scipy.fft`` on first use, so radial runs never load it.
+Cartesian transforms are numpy's (``np.fft``), so Cartesian runs load no
+scipy.  Radial grids factor their matrices with LAPACK, which
+:func:`_lapack` imports from ``scipy.linalg`` when the first radial
+:class:`GridSpec` is built.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import get_lapack_funcs
 
 from .nonlinearity import ModelSpec, parse_fields
 
@@ -69,6 +70,8 @@ class GridSpec:
             raise ValueError(f"need at least 8 points per axis, got N={self.N}")
         if not self.extent > 0:
             raise ValueError("extent must be positive")
+        if self.kind == RADIAL:
+            _lapack()  # load scipy.linalg now rather than in the first solve
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -99,10 +102,10 @@ def surface_area_coefficient(n: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def scipy_fft():
-    """The ``scipy.fft`` module, imported on the first call."""
-    from scipy import fft
-    return fft
+def _lapack():
+    """``scipy.linalg.get_lapack_funcs``, imported on the first call."""
+    from scipy.linalg import get_lapack_funcs
+    return get_lapack_funcs
 
 
 @lru_cache(maxsize=64)
@@ -129,6 +132,13 @@ def _cartesian_ksq(grid: GridSpec) -> np.ndarray:
 def _cartesian_half_ksq(grid: GridSpec) -> np.ndarray:
     """|xi|^2 on the half spectrum of rfftn (last axis cut to N//2 + 1)."""
     return np.ascontiguousarray(_cartesian_ksq(grid)[..., :grid.N // 2 + 1])
+
+
+def _irfftn(grid: GridSpec, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """irfftn over the grid axes, its complex passes in spectrum's memory."""
+    for axis in range(-grid.n, -1):
+        np.fft.ifft(spectrum, axis=axis, out=spectrum)
+    return np.fft.irfft(spectrum, n=grid.N, axis=-1, out=out)
 
 
 @lru_cache(maxsize=64)
@@ -196,11 +206,13 @@ def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
 
 
 def shifted_solver(grid: GridSpec, shift, scale):
-    """Return solve(rhs) applying (shift_k I - scale_k Lap_h)^{-1} to
-    component k of a stack of fields.
+    """Return solve(rhs, out=None) applying (shift_k I - scale_k Lap_h)^{-1}
+    to component k of a stack of fields, into out when given (rhs is not
+    modified).
 
     Cartesian grids divide the half spectrum of a real right-hand side by
-    shift_k + scale_k |xi|^2 in place (real coefficients; the result is real).  Radial
+    shift_k + scale_k |xi|^2 in a workspace the solver owns (real
+    coefficients; the result is real), so solve is not reentrant.  Radial
     grids factor the l tridiagonal matrices once, here, as one block-tridiagonal
     matrix of size l N with zero sub- and superdiagonals at the block seams
     (LAPACK's LU with partial pivoting, ?gttrf, real or complex as
@@ -212,12 +224,12 @@ def shifted_solver(grid: GridSpec, shift, scale):
     if grid.kind == CARTESIAN:
         ksq = _cartesian_half_ksq(grid)
         denom = np.stack([c * ksq + s for s, c in zip(shift, scale)])
-        axes, fft = tuple(range(-grid.n, 0)), scipy_fft()
+        axes, work = tuple(range(-grid.n, 0)), np.empty(denom.shape, dtype=complex)
 
-        def solve(rhs: np.ndarray) -> np.ndarray:
-            spectrum = fft.rfftn(rhs, axes=axes)
+        def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            spectrum = np.fft.rfftn(rhs, axes=axes, out=work)
             spectrum /= denom
-            return fft.irfftn(spectrum, s=grid.shape, axes=axes, overwrite_x=True)
+            return _irfftn(grid, spectrum, out)
 
         return solve
     ab = radial_laplacian_banded(grid)
@@ -225,16 +237,19 @@ def shifted_solver(grid: GridSpec, shift, scale):
     sub = -scale * np.concatenate([ab[2, :-1], [0.0]])
     sup = -scale * np.concatenate([ab[0, 1:], [0.0]])
     bands = (sub.ravel()[:-1], (shift - scale * ab[1]).ravel(), sup.ravel()[:-1])
-    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
+    gttrf, gttrs = _lapack()(("gttrf", "gttrs"), bands)
     *lu, info = gttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
         raise LinAlgError(f"radial matrix is singular ({gttrf.typecode}gttrf info={info})")
 
-    def solve(rhs: np.ndarray) -> np.ndarray:
+    def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x, info = gttrs(*lu, rhs.reshape(-1))
         if info != 0:
             raise LinAlgError(f"{gttrs.typecode}gttrs failed (info={info})")
-        return x.reshape(rhs.shape)
+        if out is None:
+            return x.reshape(rhs.shape)
+        out[...] = x.reshape(rhs.shape)
+        return out
 
     return solve
 
@@ -242,14 +257,14 @@ def shifted_solver(grid: GridSpec, shift, scale):
 def apply_laplacian(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Discrete Laplacian of one field or a stack (leading axes free); real in, real out."""
     if grid.kind == CARTESIAN:
-        axes, fft = tuple(range(-grid.n, 0)), scipy_fft()
+        axes = tuple(range(-grid.n, 0))
         if np.iscomplexobj(values):
-            spectrum = fft.fftn(values, axes=axes)
+            spectrum = np.fft.fftn(values, axes=axes)
             spectrum *= -_cartesian_ksq(grid)
-            return fft.ifftn(spectrum, axes=axes, overwrite_x=True)
-        spectrum = fft.rfftn(values, axes=axes)
+            return np.fft.ifftn(spectrum, axes=axes, out=spectrum)
+        spectrum = np.fft.rfftn(values, axes=axes)
         spectrum *= -_cartesian_half_ksq(grid)
-        return fft.irfftn(spectrum, s=grid.shape, axes=axes, overwrite_x=True)
+        return _irfftn(grid, spectrum)
     ab = radial_laplacian_banded(grid)
     lap = ab[1] * values
     lap[..., :-1] += ab[0, 1:] * values[..., 1:]
@@ -270,7 +285,8 @@ def shifted_apply(grid: GridSpec, shift, scale, values: np.ndarray) -> np.ndarra
 def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
     """Return step(u, overwrite_x=False), the linear substep of length dt of
     d_t u_k = (i/alpha_k)(gamma_k Lap u_k - beta_k u_k) for a stack u, as a
-    new array (in u's memory with overwrite_x on Cartesian grids): the exact
+    new array (with overwrite_x, in the memory of a complex u on Cartesian
+    grids): the exact
     Fourier phases exp(i dt (-gamma_k |xi|^2 - beta_k)/alpha_k)
     on Cartesian grids; on radial grids Crank-Nicolson, which with
     c_k = i dt/(2 alpha_k) and M_k = (1 + c_k beta_k) I - c_k gamma_k Lap_h
@@ -281,12 +297,12 @@ def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
         # built per component: one broadcast over the stack slows the later FFTs
         phases = np.stack([np.exp(1j * dt / a * (-g * ksq - b))
                            for a, b, g in zip(alpha, beta, gamma)])
-        axes, fft = tuple(range(-grid.n, 0)), scipy_fft()
+        axes = tuple(range(-grid.n, 0))
 
         def step(u: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-            uhat = fft.fftn(u, axes=axes, overwrite_x=overwrite_x)
+            uhat = np.fft.fftn(u, axes=axes, out=u if overwrite_x else None)
             uhat *= phases
-            return fft.ifftn(uhat, axes=axes, overwrite_x=True)
+            return np.fft.ifftn(uhat, axes=axes, out=uhat)
 
         return step
     c = 1j * dt / (2.0 * alpha)
@@ -312,9 +328,9 @@ def gradient_components(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
     """Spectral partial derivatives (Cartesian) or [d/dr] (radial)."""
     if grid.kind == RADIAL:
         return [radial_derivative(grid, values)]
-    axes, fft = tuple(range(-grid.n, 0)), scipy_fft()
-    vhat = fft.fftn(values, axes=axes)
-    return [fft.ifftn(1j * k * vhat, axes=axes) for k in _cartesian_wavenumbers(grid)]
+    axes = tuple(range(-grid.n, 0))
+    vhat = np.fft.fftn(values, axes=axes)
+    return [np.fft.ifftn(1j * k * vhat, axes=axes) for k in _cartesian_wavenumbers(grid)]
 
 
 def integrate(grid: GridSpec, values: np.ndarray) -> float:
@@ -374,7 +390,7 @@ def grad_sq_integral(grid: GridSpec, values: np.ndarray) -> float:
     """Quadrature of |grad f|^2 (spectral on Cartesian, the Dirichlet form on radial)."""
     if grid.kind == CARTESIAN:
         axes = tuple(range(-grid.n, 0))
-        vhat = scipy_fft().fftn(values, axes=axes)
+        vhat = np.fft.fftn(values, axes=axes)
         return float(grid.h**grid.n / grid.N**grid.n
                      * np.sum(_cartesian_ksq(grid) * np.abs(vhat) ** 2))
     return float(_radial_grad_sq(grid, values))

@@ -159,7 +159,7 @@ def _petviashvili_iterate(model, grid, psi, b, solve):
     res_floor_coeff = 64.0 * np.finfo(float).eps * (
         2.0 * grid.n / grid.h**2 * float(np.max(model.coeffs.gamma)) + float(np.max(b)))
 
-    S = np.inf
+    S, work = np.inf, np.empty_like(psi)
     best_res, best_psi, best_fk, since_best = np.inf, None, None, 0
     for iteration in range(1, PETVIASHVILI_MAX_ITER + 1):
         # fk itself for real couplings; a model with complex coefficients
@@ -173,7 +173,11 @@ def _petviashvili_iterate(model, grid, psi, b, solve):
         if not 1e-6 < S < 1e6:
             raise ConvergenceError(f"stabilization factor diverged: S={S:.3e}")
         mix = PETVIASHVILI_DAMPING * S**2
-        psi = np.maximum(mix * solve(f) + (1.0 - PETVIASHVILI_DAMPING) * psi, 0.0)
+        solve(f, out=work)
+        work *= mix
+        psi = (1.0 - PETVIASHVILI_DAMPING) * psi  # a new array: best_psi may hold the old one
+        psi += work
+        np.maximum(psi, 0.0, out=psi)
         lhs *= 1.0 - PETVIASHVILI_DAMPING
         lhs += mix * f
         # drop the old iterate's fields before the new ones are allocated
@@ -349,27 +353,6 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec) -> Constra
 # instability constructions
 
 
-@dataclass(frozen=True)
-class InstabilityData5D:
-    """Dilation diagnostics of a five-dimensional profile: the critical
-    dilation parameter, sampled values of K - (5/2)P along the dilation
-    family, and the action level m (at omega = 1) attained on its zero set."""
-
-    lambda_star: float
-    lambdas: tuple[float, ...]
-    T_at_lambda: tuple[float, ...]
-    m: float
-
-
-def instability_data(profile: FieldState, lambdas=(0.8, 1.2, 1.5, 2.0)) -> InstabilityData5D:
-    samples = tuple(functionals.virial_functional(mass_preserving_dilation(profile, lam))
-                    for lam in lambdas)
-    return InstabilityData5D(lambda_star=lambda_star(profile),
-                             lambdas=tuple(float(v) for v in lambdas),
-                             T_at_lambda=samples,
-                             m=functionals.action(profile, 1.0))
-
-
 def lambda_star(state: FieldState) -> float:
     """Unique dilation parameter putting the mass-preserving rescale of the
     state on the zero set of K - (5/2)P; closed form (2K/(5P))^2."""
@@ -441,8 +424,7 @@ def spectral_shift(grid: GridSpec, values: np.ndarray, y: float) -> np.ndarray:
     if grid.kind != grids.CARTESIAN or grid.n != 1:
         raise ValueError("spectral translation is a 1-d Cartesian operation")
     k = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-    fft = grids.scipy_fft()
-    return fft.ifft(fft.fft(values, axis=-1) * np.exp(-1j * k * y), axis=-1)
+    return np.fft.ifft(np.fft.fft(values, axis=-1) * np.exp(-1j * k * y), axis=-1)
 
 
 def modulated_distance(state: FieldState, reference: FieldState,
@@ -466,8 +448,7 @@ def modulated_distance(state: FieldState, reference: FieldState,
         return _best_phase(sigma, np.sum(w * u * np.conj(ps), axis=axes), period)
 
     if grid.kind == grids.CARTESIAN and grid.n == 1:
-        fft = grids.scipy_fft()
-        corr = fft.ifft(fft.fft(u) * np.conj(fft.fft(psi))) * grid.h
+        corr = np.fft.ifft(np.fft.fft(u) * np.conj(np.fft.fft(psi))) * grid.h
         thetas = np.linspace(0.0, period, 256, endpoint=False)
         g = np.real(np.tensordot(np.exp(-1j * np.outer(thetas, sigma)), corr, axes=(1, 0)))
         j = int(np.unravel_index(np.argmax(g), g.shape)[1])

@@ -240,17 +240,23 @@ def test_scaling_law_scenario(tmp_path):
     assert ratio["pass"]
 
 
-def test_radial_runs_never_import_scipy_fft(tmp_path):
-    # scipy.fft is imported on the first Cartesian transform, never on radial grids
+def test_scipy_is_loaded_for_radial_lapack_only(tmp_path):
+    # Cartesian transforms are numpy's; radial grids import scipy.linalg's LAPACK
     script = f"""
 import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import qnls
 from qnls.cli import main
+assert not scipy_modules(), "import qnls loaded " + ", ".join(scipy_modules())
 base = ["evolve", "--model", "shg3", "--dim", "1", "--points", "64", "--extent", "8",
         "--dt", "1e-2", "--t-end", "0.05", "--sample-every", "1"]
-main(base + ["--kind", "radial", "--out", {str(tmp_path / "radial")!r}])
-assert "scipy.fft" not in sys.modules, "a radial run imported scipy.fft"
 main(base + ["--kind", "cartesian", "--out", {str(tmp_path / "cartesian")!r}])
-assert "scipy.fft" in sys.modules, "a Cartesian run did not import scipy.fft"
+assert not scipy_modules(), "a Cartesian run loaded " + ", ".join(scipy_modules())
+main(base + ["--kind", "radial", "--out", {str(tmp_path / "radial")!r}])
+assert "scipy.linalg" in sys.modules, "a radial run did not load scipy.linalg"
+for name in ("scipy.fft", "scipy.special"):
+    assert name not in sys.modules, "a radial run loaded " + name
 """
     src = str(Path(qnls.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

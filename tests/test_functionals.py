@@ -205,72 +205,6 @@ class TestVarianceAndVirial:
         assert fn.virial_functional(st) == 0.0
 
 
-class TestCutoff:
-    def test_inner_quadratic(self):
-        r = np.linspace(0, 1, 101)
-        assert np.allclose(fn.chi_value(r), r**2)
-        assert np.allclose(fn.chi_d1(r), 2 * r)
-        assert np.allclose(fn.chi_d2(r), 2.0)
-
-    def test_outer_zero(self):
-        r = np.linspace(3, 6, 51)
-        for f in (fn.chi_value, fn.chi_d1, fn.chi_d2, fn.chi_d3, fn.chi_d4):
-            assert np.all(f(r) == 0.0)
-
-    def test_second_derivative_bounded(self):
-        r = np.linspace(0, 4, 40001)
-        assert np.all(fn.chi_d2(r) <= 2.0 + 1e-12)
-
-    def test_seam_continuity(self):
-        eps = 1e-10
-        for f, tol in ((fn.chi_value, 1e-8), (fn.chi_d1, 1e-8), (fn.chi_d2, 1e-7),
-                       (fn.chi_d3, 1e-5), (fn.chi_d4, 1e-2)):
-            for seam in (1.0, 3.0):
-                assert abs(f(seam + eps) - f(seam - eps)) < tol
-
-    def test_derivative_chain_fd(self):
-        rr = np.linspace(1.01, 2.99, 777)
-        h = 1e-6
-        fd = (fn.chi_value(rr + h) - fn.chi_value(rr - h)) / (2 * h)
-        assert np.max(np.abs(fd - fn.chi_d1(rr))) < 1e-7
-        fd = (fn.chi_d2(rr + h) - fn.chi_d2(rr - h)) / (2 * h)
-        assert np.max(np.abs(fd - fn.chi_d3(rr))) < 1e-4
-
-    def test_matching_conditions(self):
-        assert fn.chi_value(1.0) == pytest.approx(1.0)
-        assert fn.chi_d1(1.0) == pytest.approx(2.0)
-        assert fn.chi_value(2.999999) == pytest.approx(0.0, abs=1e-10)
-        assert fn.chi_d1(2.999999) == pytest.approx(0.0, abs=1e-9)
-
-    def test_laplacian_identities_inside(self):
-        r = np.array([0.0, 0.3, 0.9])
-        for n in range(1, 6):
-            assert np.allclose(fn.chi_laplacian(r, n), 2.0 * n)
-            assert np.allclose(fn.chi_bilaplacian(r, n), 0.0)
-
-    def test_local_virial_limit(self):
-        m = builtin_model("shg3")
-        g = GridSpec("radial", 3, 1024, 40.0)
-        r = g.axis()
-        comps = np.stack([np.exp(-r**2), 0.5 * np.exp(-r**2),
-                          0.25 * np.exp(-r**2)]).astype(complex)
-        st = FieldState(m, g, comps, 0.0)
-        target = fn.virial_rhs_gradient_form(st)
-        for R in (5.0, 10.0):
-            assert fn.local_virial_rhs(st, R) == pytest.approx(target, rel=1e-3)
-
-    def test_local_virial_zero_state(self):
-        m = builtin_model("shg3")
-        g = GridSpec("radial", 5, 64, 8.0)
-        st = FieldState(m, g, np.zeros((3, 64), dtype=complex), 0.0)
-        assert fn.local_virial_rhs(st, 2.0) == 0.0
-
-    def test_local_virial_needs_radial(self, uv2, grid1):
-        st = random_state(uv2, grid1)
-        with pytest.raises(ValueError):
-            fn.local_virial_rhs(st, 2.0)
-
-
 @pytest.fixture(scope="module")
 def gs5():
     m = builtin_model("shg3")

@@ -191,24 +191,39 @@ class TestResolvent:
 
     @pytest.mark.parametrize("n,N", [(1, 64), (2, 32), (2, 31), (3, 16)])
     def test_cartesian_spectra_in_place_are_bit_identical(self, n, N):
-        # the resolvent, the real Laplacian and the shifted operator work on
-        # their spectrum or output in place, byte for byte as out of place
+        # the resolvent, the real Laplacian, the shifted operator and the
+        # propagator work on their spectrum or output in place, byte for byte
+        # as out of place
         m = builtin_model("shg3")
         g = GridSpec("cartesian", n, N, 3.0)
         b, gamma = m.coeffs.b(1.0), m.coeffs.gamma
-        f = np.random.default_rng(N).normal(size=(m.l,) + g.shape)
-        f_before = f.copy()
-        fft, axes = grids.scipy_fft(), tuple(range(-n, 0))
+        rng = np.random.default_rng(N)
+        f = rng.normal(size=(m.l,) + g.shape)
+        u = f + 1j * rng.normal(size=f.shape)
+        f_before, u_before = f.copy(), u.copy()
+        axes = tuple(range(-n, 0))
         ksq = grids._cartesian_half_ksq(g)
         denom = np.stack([c * ksq + s for s, c in zip(b, gamma)])
-        solved = fft.irfftn(fft.rfftn(f, axes=axes) / denom, s=g.shape, axes=axes)
-        lap = fft.irfftn(-ksq * fft.rfftn(f, axes=axes), s=g.shape, axes=axes)
+        solved = np.fft.irfftn(np.fft.rfftn(f, axes=axes) / denom, s=g.shape, axes=axes)
+        lap = np.fft.irfftn(-ksq * np.fft.rfftn(f, axes=axes), s=g.shape, axes=axes)
         ones = (1,) * n
         shifted = b.reshape((-1,) + ones) * f - gamma.reshape((-1,) + ones) * lap
-        assert grids.shifted_solver(g, b, gamma)(f).tobytes() == solved.tobytes()
+        solve = grids.shifted_solver(g, b, gamma)
+        assert solve(f).tobytes() == solved.tobytes()
+        buf = np.empty_like(f)
+        assert solve(f, out=buf) is buf and buf.tobytes() == solved.tobytes()
         assert grids.apply_laplacian(g, f).tobytes() == lap.tobytes()
         assert grids.shifted_apply(g, b, gamma, f).tobytes() == shifted.tobytes()
         assert np.array_equal(f, f_before)
+
+        alpha, beta = np.array([1.0, 2.0, 0.5]), np.array([0.5, -0.3, 0.0])
+        phases = np.stack([np.exp(0.1j / a * (-c * grids._cartesian_ksq(g) - s))
+                           for a, s, c in zip(alpha, beta, gamma)])
+        stepped = np.fft.ifftn(np.fft.fftn(u, axes=axes) * phases, axes=axes)
+        step = grids.propagator(g, 0.1, alpha, beta, gamma)
+        assert step(u).tobytes() == stepped.tobytes()
+        assert np.array_equal(u, u_before)
+        assert step(u, overwrite_x=True) is u and u.tobytes() == stepped.tobytes()
 
 
 class TestPohozaev:
@@ -518,14 +533,3 @@ class TestDilationDerivativeIdentity:
             slope = (Ip - Im_) / (2 * dl)
             tval = fn.virial_functional(mass_preserving_dilation(gs_n5.state, lam)) / lam
             assert slope == pytest.approx(tval, rel=1e-6)
-
-
-class TestInstabilityData:
-    def test_bundle(self, gs_n5):
-        from qnls.groundstate import instability_data
-        data = instability_data(gs_n5.state, lambdas=(1.5, 2.0))
-        assert data.lambda_star == pytest.approx(1.0, abs=1e-3)
-        assert data.m == pytest.approx(gs_n5.I, rel=1e-12)
-        for lam, tval in zip(data.lambdas, data.T_at_lambda):
-            assert tval == pytest.approx(lam**2 * (1 - np.sqrt(lam)) * gs_n5.K, rel=5e-3)
-        assert all(t < 0 for t in data.T_at_lambda)
