@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs, solve_banded
 
+from qnls import grids
 from qnls.grids import (Field, FieldState, GridSpec, apply_laplacian,
                         boundary_mass_fraction, grad_sq_integral, gradient_components,
                         integrate, momentum_density_integral, norm_sq, propagator,
@@ -506,6 +507,58 @@ class TestSpectralOperatorsMatchNumpy:
         self._close(gradient_components(g, u[0]), ref["grad"](u[0]))
         self._close(grad_sq_integral(g, u[0]), ref["grad_sq"](u[0]))
         assert f.tobytes() == keep_f and u.tobytes() == keep_u
+
+
+class TestCallerOwnedBuffers:
+    @pytest.mark.parametrize("n,N", [(1, 64), (1, 63), (2, 32), (2, 31), (3, 16), (3, 15)])
+    def test_irfftn_in_spectrum_memory_is_numpy_irfftn(self, n, N):
+        # the complex passes run in the spectrum's memory; the real pass may
+        # write into a caller's buffer; both byte for byte as np.fft.irfftn
+        g = GridSpec("cartesian", n, N, 3.0)
+        axes = tuple(range(-n, 0))
+        spec = np.fft.rfftn(np.random.default_rng(N).normal(size=(2,) + g.shape), axes=axes)
+        want = np.fft.irfftn(spec, s=g.shape, axes=axes)
+        got = grids._irfftn(g, spec.copy())
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        buf = np.empty(want.shape)
+        assert grids._irfftn(g, spec.copy(), out=buf) is buf
+        assert buf.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("real", [True, False])
+    def test_radial_solve_into_buffer(self, n, real):
+        # solve(rhs, out=buf) fills buf with solve(rhs) and leaves rhs alone
+        g = GridSpec("radial", n, 96, 12.0)
+        rng = np.random.default_rng(n)
+        if real:
+            shift, scale = np.array([1.5, 0.5, 2.0]), np.array([1.0, 2.0, 0.5])
+            rhs = rng.normal(size=(3, g.N))
+        else:
+            c = 1j * 0.05 / np.array([1.0, 2.0, 0.5])
+            shift, scale = 1.0 + c * np.array([0.5, -0.3, 0.0]), c * np.array([1.0, 2.0, 0.5])
+            rhs = rng.normal(size=(3, g.N)) + 1j * rng.normal(size=(3, g.N))
+        keep = rhs.tobytes()
+        solve = shifted_solver(g, shift, scale)
+        want = solve(rhs)
+        buf = np.empty_like(want)
+        assert solve(rhs, out=buf) is buf and buf.tobytes() == want.tobytes()
+        assert rhs.tobytes() == keep
+
+    def test_cartesian_solver_workspace_does_not_leak_between_calls(self):
+        # the solver's own spectrum workspace is reused: an earlier result
+        # stays intact and a repeated call gives the same bytes
+        g = GridSpec("cartesian", 2, 32, 3.0)
+        rng = np.random.default_rng(7)
+        a, b = rng.normal(size=(2, 2) + g.shape)
+        solve = shifted_solver(g, np.array([1.5, 0.5]), np.array([1.0, 2.0]))
+        first = solve(a)
+        keep = first.tobytes()
+        second = solve(b)
+        assert first.tobytes() == keep and not np.shares_memory(first, second)
+        assert solve(a).tobytes() == keep
+
+    def test_lapack_accessor_is_cached_scipy_linalg(self):
+        assert grids._lapack() is grids._lapack() is get_lapack_funcs
 
 
 class TestSnapshots:
