@@ -66,7 +66,7 @@ class ExperimentReport:
     settings: dict = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
     run: dict | None = None  # EvolutionOutcome.as_json() of the scenario's monitored run
-    solve: dict | None = None  # iterations, restarts and residual of a profile solve
+    solve: dict | None = None  # iterations, restarts, residual and accepted_on of a profile solve
 
     def check(self, name, measured, expected, tolerance, provenance="",
               compare="abs") -> bool:
@@ -214,12 +214,22 @@ def build_settings(args) -> Settings:
     return st
 
 
-def _load_or_solve_groundstate(st: Settings):
+def _require_dim(n: int, dims: tuple[int, ...], scenario: str) -> None:
+    """Refuse a dimension outside dims: one line on stderr, exit status 1."""
+    if n not in dims:
+        *head, last = map(str, dims)
+        raise SystemExit(f"{scenario} scenarios are defined for dim {', '.join(head)} and {last}")
+
+
+def _load_or_solve_groundstate(st: Settings, dims: tuple[int, ...]):
+    """The archived profile if st.archive exists, else a fresh solve; a
+    dimension outside dims is refused before any solve."""
     if st.archive and Path(st.archive).exists():
-        return read_groundstate_archive(st.archive)
-    model = st.resolve_model()
-    grid = st.resolve_grid()
-    return petviashvili_solve(model, st.omega, grid)
+        gs = read_groundstate_archive(st.archive)
+        _require_dim(gs.grid.n, dims, st.scenario)
+        return gs
+    _require_dim(st.dim, dims, st.scenario)
+    return petviashvili_solve(st.resolve_model(), st.omega, st.resolve_grid())
 
 
 def _gaussian_state(model, grid, amplitudes) -> FieldState:
@@ -259,7 +269,7 @@ def cmd_groundstate(st: Settings) -> ExperimentReport:
     grid = st.resolve_grid()
     result = petviashvili_solve(model, st.omega, grid)
     rep.solve = {"iterations": result.iterations, "restarts": result.restarts,
-                 "residual": result.residual}
+                 "residual": result.residual, "accepted_on": result.accepted_on}
     n = grid.n
     rep.check("residual", result.residual, 0.0, 1e-8, compare="le",
               provenance="stationary-system sup-norm residual")
@@ -318,7 +328,7 @@ def cmd_virial(st: Settings) -> ExperimentReport:
 
 def cmd_threshold(st: Settings) -> ExperimentReport:
     rep = ExperimentReport("threshold", settings=st.as_dict())
-    gs = _load_or_solve_groundstate(st)
+    gs = _load_or_solve_groundstate(st, (4, 5))
     c = st.amplitude
     data = FieldState(gs.model, gs.grid, c * gs.profile.astype(complex), 0.0)
     report = fn.threshold_report(data, gs.state)
@@ -338,7 +348,7 @@ def cmd_threshold(st: Settings) -> ExperimentReport:
 
 def cmd_blowup(st: Settings) -> ExperimentReport:
     rep = ExperimentReport("blowup", settings=st.as_dict())
-    gs = _load_or_solve_groundstate(st)
+    gs = _load_or_solve_groundstate(st, (4, 5))
     n = gs.grid.n
     if n == 4:
         T = st.T
@@ -359,7 +369,7 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
         rep.check("closed-form residual refinement order",
                   np.log2(res[gs.grid.N // 2] / res[gs.grid.N]), 2.0, 0.5,
                   provenance="log2 of the residual ratio under N doubling")
-    elif n == 5:
+    else:
         data = FieldState(gs.model, gs.grid, st.amplitude * gs.profile.astype(complex), 0.0)
         out = run_with_monitors(data, _collapse_config(st), with_variance=False)
         rep.run = out.as_json()
@@ -370,14 +380,12 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
             Ks = out.diagnostics.column("K")
             rep.check("kinetic stays below 2 K(0)", float(np.max(Ks) / Ks[0]), 0.0, 2.0,
                       compare="le")
-    else:
-        raise SystemExit("blowup scenarios are defined for dim 4 and 5")
     return rep
 
 
 def cmd_stability(st: Settings) -> ExperimentReport:
     rep = ExperimentReport("stability", settings=st.as_dict())
-    gs = _load_or_solve_groundstate(st)
+    gs = _load_or_solve_groundstate(st, (1, 2, 3, 4, 5))
     n = gs.grid.n
     if n <= 3:
         rng = np.random.default_rng(st.seed)
@@ -422,6 +430,7 @@ def cmd_stability(st: Settings) -> ExperimentReport:
 
 def cmd_scaling_law(st: Settings) -> ExperimentReport:
     rep = ExperimentReport("scaling-law", settings=st.as_dict())
+    _require_dim(st.dim, (1, 2, 3), st.scenario)
     model = st.resolve_model()
     grid = st.resolve_grid()
     n = grid.n

@@ -74,16 +74,30 @@ class GroundStateResult:
     J: float
     pohozaev_dev: tuple[float, float, float]
     restarts: int = 0  # tilt restarts before the attempt that converged
+    # the branch that accepted: "tolerance" (residual and |S - 1| below
+    # PETVIASHVILI_TOL) or "floor" (machine-converged); None when unknown
+    accepted_on: str | None = None
 
     @property
     def state(self) -> FieldState:
         return FieldState(self.model, self.grid, self.profile, 0.0)
 
 
+def _sup_diff(lhs: np.ndarray, fk: np.ndarray, work: np.ndarray) -> float:
+    """max |lhs - fk| for real lhs and real or complex fk, through the real
+    buffer work (which may be lhs)."""
+    np.subtract(lhs, fk.real, out=work)
+    if np.iscomplexobj(fk):
+        np.hypot(work, fk.imag, out=work)
+    else:
+        np.abs(work, out=work)
+    return float(np.max(work))
+
+
 def elliptic_residual(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.ndarray) -> float:
     """Sup norm of -gamma_k Lap psi_k + b_k psi_k - f_k(psi)."""
     lhs = grids.shifted_apply(grid, b, model.coeffs.gamma, psi)
-    return float(np.max(np.abs(lhs - model.eval_fk(psi))))
+    return _sup_diff(lhs, model.eval_fk(psi), lhs)
 
 
 def _default_init(model: ModelSpec, grid: GridSpec, amplitudes) -> np.ndarray:
@@ -110,7 +124,8 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
     that internal mode.  An iteration applies the resolvent once; the left
     side is applied directly only on a schedule and near an accept, so the
     returned residual is elliptic_residual of the profile.  Each attempt
-    stops once the residual and |S - 1| are below PETVIASHVILI_TOL.  Raises
+    stops once the residual and |S - 1| are below PETVIASHVILI_TOL, or on the
+    roundoff floor (see _petviashvili_iterate); accepted_on names which.  Raises
     ConvergenceError on stagnation, after PETVIASHVILI_MAX_ITER iterations,
     or when the stabilization factor leaves [1e-6, 1e6].
     """
@@ -127,32 +142,38 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
         if np.max(np.abs(psi)) == 0:
             raise ValueError("initial guess must not vanish identically")
         try:
-            psi, res, iterations = _petviashvili_iterate(model, grid, psi, b, solve)
-            return replace(_finalize(model, grid, omega, psi, res, iterations), restarts=attempt)
+            psi, res, iterations, accepted_on = _petviashvili_iterate(model, grid, psi, b, solve)
+            return replace(_finalize(model, grid, omega, psi, res, iterations),
+                           restarts=attempt, accepted_on=accepted_on)
         except ConvergenceError as exc:
             last_exc = exc
     raise ConvergenceError(f"fixed-point iteration failed after restarts: {last_exc}")
 
 
 def _petviashvili_iterate(model, grid, psi, b, solve):
-    """The fixed-point loop; returns (profile, residual, iterations run).
-    f_k is evaluated once per iterate.  The left side lhs = (-gamma Lap + b) psi
-    is carried by the recurrence lhs' = (1-d) lhs + d S^2 f of the update, exact
-    before the clip since the operator maps solve(f) to f.  lhs sets S, so it is
-    applied directly every PETVIASHVILI_LHS_REFRESH iterations and once the
-    carried residual is below max(tol, roundoff floor): accepts, and best-iterate
-    comparisons on the floor, use direct residuals."""
-    def lhs_of(psi):
-        return grids.shifted_apply(grid, b, model.coeffs.gamma, psi)
+    """The fixed-point loop, updating psi in place; returns (profile, residual,
+    iterations run, accepting branch).  f_k is evaluated once per iterate, into
+    one buffer.  The left side lhs = (-gamma Lap + b) psi is carried by the
+    recurrence lhs' = (1-d) lhs + d S^2 f of the update, exact before the clip
+    since the operator maps solve(f) to f.  lhs sets S, so it is applied
+    directly every PETVIASHVILI_LHS_REFRESH iterations and once the carried
+    residual is below max(tol, roundoff floor): accepts, and best-iterate
+    comparisons on the floor, use direct residuals, and a direct application
+    overwrites the carried lhs.  On Cartesian grids an iteration makes no
+    full-size array: its largest temporary is one field of the stack."""
+    def lhs_of(psi, out=None):
+        return grids.shifted_apply(grid, b, model.coeffs.gamma, psi, out)
 
-    # rescale so the first stabilization factor is 1: S(c psi) = S(psi)/c
+    # rescale so the first stabilization factor is 1: S(c psi) = S(psi)/c;
+    # lhs is linear in psi and f_k homogeneous of degree 2
     lhs, fk = lhs_of(psi), model.eval_fk(psi)
-    A = grids.integrate(grid, np.sum(lhs * psi, axis=0))
-    B = grids.integrate(grid, np.sum(fk.real * psi, axis=0))
+    A, B = grids.pairing(grid, lhs, psi), grids.pairing(grid, fk.real, psi)
     if B <= 0:
         raise ConvergenceError("interaction pairing non-positive on the initial guess")
-    psi = (A / B) * psi
-    lhs, fk = lhs_of(psi), model.eval_fk(psi)
+    c = A / B
+    psi *= c
+    lhs *= c
+    fk *= c * c
 
     # roundoff floor of the residual: dominated by the origin row of the
     # difference operator, eps * (2n/h^2) * gamma * |psi|
@@ -160,13 +181,12 @@ def _petviashvili_iterate(model, grid, psi, b, solve):
         2.0 * grid.n / grid.h**2 * float(np.max(model.coeffs.gamma)) + float(np.max(b)))
 
     S, work = np.inf, np.empty_like(psi)
-    best_res, best_psi, best_fk, since_best = np.inf, None, None, 0
+    best_res, best_psi, kept, since_best = np.inf, np.empty_like(psi), False, 0
     for iteration in range(1, PETVIASHVILI_MAX_ITER + 1):
         # fk itself for real couplings; a model with complex coefficients
         # iterates on the real part (the residual counts the imaginary part)
         f = fk.real
-        A = grids.integrate(grid, np.sum(lhs * psi, axis=0))
-        B = grids.integrate(grid, np.sum(f * psi, axis=0))
+        A, B = grids.pairing(grid, lhs, psi), grids.pairing(grid, f, psi)
         if not np.isfinite(B) or B <= 0:
             raise ConvergenceError(f"interaction pairing degenerated at iteration {iteration}")
         S = A / B
@@ -175,35 +195,35 @@ def _petviashvili_iterate(model, grid, psi, b, solve):
         mix = PETVIASHVILI_DAMPING * S**2
         solve(f, out=work)
         work *= mix
-        psi = (1.0 - PETVIASHVILI_DAMPING) * psi  # a new array: best_psi may hold the old one
+        psi *= 1.0 - PETVIASHVILI_DAMPING
         psi += work
         np.maximum(psi, 0.0, out=psi)
+        np.multiply(f, mix, out=work)
         lhs *= 1.0 - PETVIASHVILI_DAMPING
-        lhs += mix * f
-        # drop the old iterate's fields before the new ones are allocated
-        f = fk = None
-        fk = model.eval_fk(psi)
-        res = float(np.max(np.abs(lhs - fk)))
-        floor = res_floor_coeff * max(1.0, float(np.max(np.abs(psi))))
+        lhs += work
+        model.eval_fk(psi, out=fk)
+        res = _sup_diff(lhs, fk, work)
+        floor = res_floor_coeff * max(1.0, float(np.max(psi)))  # psi >= 0
         if iteration % PETVIASHVILI_LHS_REFRESH == 0 or res < max(floor, PETVIASHVILI_TOL):
-            lhs = lhs_of(psi)
-            res = float(np.max(np.abs(lhs - fk)))
+            res = _sup_diff(lhs_of(psi, lhs), fk, work)
         if res < PETVIASHVILI_TOL and abs(S - 1.0) < PETVIASHVILI_TOL:
-            return psi, res, iteration
+            return psi, res, iteration, "tolerance"
         if res < best_res:
-            best_res, best_psi, since_best = res, psi, 0
-            best_fk = fk if res < max(floor, 1e-6) else None
+            best_res, since_best = res, 0
+            kept = res < max(floor, 1e-6)
+            if kept:
+                np.copyto(best_psi, psi)
         else:
             since_best += 1
         # machine-converged: the residual sits on the roundoff floor and no
-        # longer improves; the best iterate (its f_k kept once its residual is
-        # below max(floor, 1e-6)) is returned with its direct residual, which
-        # the clip can leave above the carried one: then the attempt stalled
-        if since_best > 50 and abs(S - 1.0) < 1e-12 and best_fk is not None:
-            res = float(np.max(np.abs(lhs_of(best_psi) - best_fk)))
+        # longer improves; the best iterate (kept once its residual is below
+        # max(floor, 1e-6)) is returned with its direct residual, which the
+        # clip can leave above the carried one: then the attempt stalled
+        if since_best > 50 and abs(S - 1.0) < 1e-12 and kept:
+            res = _sup_diff(lhs_of(best_psi, lhs), model.eval_fk(best_psi, out=fk), work)
             if res > max(floor, 1e-6):
                 raise ConvergenceError(f"stalled at residual {res:.3e}")
-            return best_psi, res, iteration
+            return best_psi, res, iteration, "floor"
     raise ConvergenceError(
         f"no convergence in {PETVIASHVILI_MAX_ITER} iterations (residual {res:.3e}, S-1 {S - 1:.3e})")
 
@@ -493,7 +513,8 @@ def write_groundstate_archive(result: GroundStateResult, path) -> None:
              f"I={result.I!r}", f"K={result.K!r}", f"Qcal={result.Qcal!r}",
              f"P={result.P!r}", f"Q={result.Q!r}", f"J={result.J!r}",
              f"residual={result.residual!r}", f"iterations={result.iterations}",
-             f"restarts={result.restarts}", f"pohozaev_dev={dev}",
+             f"restarts={result.restarts}", f"accepted_on={result.accepted_on or ''}",
+             f"pohozaev_dev={dev}",
              "[model]"] + model_lines(result.model)
     with open(path, "ab") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
@@ -506,16 +527,24 @@ def _deviations(text: str) -> tuple[float, float, float]:
     return dev
 
 
+def _accepted_on(text: str) -> str | None:
+    if text not in ("", "tolerance", "floor"):
+        raise ValueError("expected tolerance or floor")
+    return text or None
+
+
 def read_groundstate_archive(path) -> GroundStateResult:
     """Read an archive; a malformed one raises ValueError naming the file and
-    the field.  An archive without a restarts line reads as 0 restarts."""
+    the field.  An archive without a restarts line reads as 0 restarts, and
+    one without an accepted_on line (or an empty one) as accepted_on None."""
     grid, comps, _, trailer = grids.read_snapshot_raw(path, return_trailer=True)
     head, _, model_part = trailer.partition("[model]")
     spec = dict.fromkeys(("omega", "residual", "K", "Qcal", "P", "Q", "I", "J"), float)
-    spec.update(iterations=int, restarts=int, pohozaev_dev=_deviations)
+    spec.update(iterations=int, restarts=int, accepted_on=_accepted_on,
+                pohozaev_dev=_deviations)
     try:
         model = parse_model_lines(model_part.strip().splitlines())
-        kv = parse_fields(["restarts=0"] + head.strip().splitlines(), spec)
+        kv = parse_fields(["restarts=0", "accepted_on="] + head.strip().splitlines(), spec)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return GroundStateResult(model=model, grid=grid, profile=np.real(comps), **kv)

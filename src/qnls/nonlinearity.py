@@ -123,7 +123,8 @@ def eval_terms(program: Program, z: np.ndarray, out: np.ndarray | None = None) -
     Row m of the result, shape (len(plans),) + z.shape[1:], holds plan m.
     Its dtype is np.result_type of z and every plan coefficient: real z and
     real coefficients give a real result, any complex one a complex result.
-    Only the components that appear conjugated are conjugated.  Each
+    Only the components that appear conjugated are conjugated, and only
+    when z is complex (a real component is its own conjugate).  Each
     monomial is multiplied out left to right over its factors and then
     scaled by its coefficient (skipped when it is 1), and the monomials are
     summed in plan order, all through ufuncs writing into out or one
@@ -135,7 +136,7 @@ def eval_terms(program: Program, z: np.ndarray, out: np.ndarray | None = None) -
         out = np.empty((len(program.plans),) + z.shape[1:], dtype=dtype)
     operands = list(z) + [None] * l
     for j in program.conjugated:
-        operands[l + j] = np.conj(z[j])
+        operands[l + j] = np.conj(z[j]) if np.iscomplexobj(z) else z[j]
     scratch = np.empty(z.shape[1:], dtype=out.dtype) if program.needs_scratch else None
     for m, plan in enumerate(program.plans):
         row = out[m, ...]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qnls
+from qnls import cli
 from qnls.cli import build_settings, main, make_parser, parse_config_file
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, Monomial, TrilinearPotential,
                                write_model_file)
@@ -167,8 +168,9 @@ def test_groundstate_archive_then_threshold(tmp_path):
     archive = out / "groundstate.qnls"
     assert archive.exists()
     solve = json.loads((out / "report.json").read_text())["solve"]
-    assert set(solve) == {"iterations", "restarts", "residual"}
+    assert set(solve) == {"iterations", "restarts", "residual", "accepted_on"}
     assert solve["iterations"] > 0 and solve["restarts"] == 0 and solve["residual"] < 1e-8
+    assert solve["accepted_on"] in ("tolerance", "floor")
 
     out2 = tmp_path / "thr"
     code = main(["threshold", "--archive", str(archive), "--amplitude", "0.9",
@@ -183,6 +185,32 @@ def test_groundstate_archive_then_threshold(tmp_path):
     assert code == 0
     payload = json.loads((out3 / "report.json").read_text())
     assert payload["settings"]["classification"] == "'blowup'"
+
+
+@pytest.mark.parametrize("argv", [
+    *[["threshold", "--dim", str(n)] for n in (1, 2, 3)],
+    *[["scaling-law", "--dim", str(n)] for n in (4, 5)]])
+def test_scenario_refuses_dimension_before_solving(tmp_path, monkeypatch, argv):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(cli, "petviashvili_solve", no_solve)
+    monkeypatch.setattr(cli, "constrained_minimize", no_solve)
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--kind", "radial", "--out", str(tmp_path / "out")])
+    assert info.value.code == f"{argv[0]} scenarios are defined for dim " + (
+        "4 and 5" if argv[0] == "threshold" else "1, 2 and 3")
+    assert not (tmp_path / "out").exists()
+
+
+def test_refusal_is_one_line_and_exit_1(tmp_path):
+    src = str(Path(qnls.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "qnls.cli", "threshold", "--dim", "3",
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 1
+    assert proc.stderr == "threshold scenarios are defined for dim 4 and 5\n"
 
 
 def test_evolve_scenario(tmp_path):

@@ -93,8 +93,8 @@ class TestPetviashvili:
 
     def test_iterations_count_the_iterations_run(self, monkeypatch):
         # this n = 5 solve stops on the machine-converged branch (its residual
-        # never reaches tol); each iteration evaluates f_k once, plus the two
-        # evaluations of the initial rescale
+        # never reaches tol); each iteration evaluates f_k once, plus one
+        # evaluation for the initial rescale and one for the best iterate
         from qnls.nonlinearity import ModelSpec
         calls = []
         eval_fk = ModelSpec.eval_fk
@@ -106,14 +106,15 @@ class TestPetviashvili:
         monkeypatch.setattr(ModelSpec, "eval_fk", counted)
         result = petviashvili_solve(builtin_model("shg3"), 1.0,
                                     GridSpec("radial", 5, 1024, 12.0))
-        assert result.residual >= 1e-10
+        assert result.residual >= 1e-10 and result.accepted_on == "floor"
         assert len(calls) == result.iterations + 2
 
     def test_left_side_applied_on_schedule_only(self, monkeypatch):
         # the left side is carried by its recurrence: it is applied directly
         # for the two initial sides, every PETVIASHVILI_LHS_REFRESH
-        # iterations and for the accept; f_k is still evaluated once per
-        # iterate (this Cartesian solve never reaches the roundoff floor)
+        # iterations and for the accept; f_k is evaluated once per iterate
+        # and once for the initial rescale, which scales it by c^2 (this
+        # Cartesian solve never reaches the roundoff floor)
         from qnls.nonlinearity import ModelSpec
         calls = {"apply": 0, "fk": 0}
         shifted_apply, eval_fk = grids.shifted_apply, ModelSpec.eval_fk
@@ -130,9 +131,9 @@ class TestPetviashvili:
         monkeypatch.setattr(ModelSpec, "eval_fk", counted_fk)
         result = petviashvili_solve(builtin_model("shg3"), 1.0,
                                     GridSpec("cartesian", 2, 64, 8.0))
-        assert result.residual < PETVIASHVILI_TOL
+        assert result.residual < PETVIASHVILI_TOL and result.accepted_on == "tolerance"
         assert calls["apply"] <= 2 + result.iterations // PETVIASHVILI_LHS_REFRESH + 1
-        assert calls["fk"] == result.iterations + 2
+        assert calls["fk"] == result.iterations + 1
 
     # bound: the solver that applied the left side every iteration returned
     # 2.764e-7, 9.84e-11 and 1.91e-10; best-iterate comparisons made on
@@ -164,6 +165,27 @@ class TestPetviashvili:
         result = petviashvili_solve(builtin_model(name), 1.0, GridSpec("cartesian", 2, N, R))
         assert result.residual < PETVIASHVILI_TOL
         assert abs(result.iterations - iterations) <= 1
+
+    def test_iteration_makes_no_full_size_array(self):
+        # The loop holds five stacks (psi, lhs, f_k, the work buffer and the
+        # best iterate) and the resolvent its half spectrum and reciprocal
+        # (about 1.5 stacks); its temporaries are one field of the stack.
+        # That reads 6.87 stacks above the solve's entry (10.57 when each
+        # iteration made its iterate, fields and residual afresh); one more
+        # full-size temporary anywhere in an iteration would read 7.5 or more.
+        import tracemalloc
+        m, g = builtin_model("shg3"), GridSpec("cartesian", 2, 128, 12.0)
+        stack = 8 * m.l * g.size
+        petviashvili_solve(m, 1.0, g)  # the cached wavenumbers and coordinates
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            result = petviashvili_solve(m, 1.0, g)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert result.iterations == 131
+        assert peak < 7.25 * stack
 
     def test_stabilization_factor_converged(self, gs_n3):
         # at the fixed point the stabilization factor is 1: re-apply one sweep
@@ -465,6 +487,23 @@ class TestArchive:
         # an archive written before the restarts line existed reads as 0
         path.write_bytes(path.read_bytes().replace(b"restarts=2\n", b""))
         assert read_groundstate_archive(path).restarts == 0
+
+    @pytest.mark.parametrize("branch", ["tolerance", "floor"])
+    def test_accepted_on_round_trip(self, gs_n3, tmp_path, branch):
+        path = tmp_path / "gs.qnls"
+        write_groundstate_archive(replace(gs_n3, accepted_on=branch), path)
+        assert read_groundstate_archive(path).accepted_on == branch
+        # an archive written before the accepted_on line existed reads as None
+        path.write_bytes(path.read_bytes().replace(f"accepted_on={branch}\n".encode(), b""))
+        assert read_groundstate_archive(path).accepted_on is None
+
+    def test_accepted_on_none_and_bad_values(self, gs_n3, tmp_path):
+        path = tmp_path / "gs.qnls"
+        write_groundstate_archive(replace(gs_n3, accepted_on=None), path)
+        assert read_groundstate_archive(path).accepted_on is None
+        path.write_bytes(path.read_bytes().replace(b"accepted_on=\n", b"accepted_on=tol\n"))
+        with pytest.raises(ValueError, match="accepted_on='tol'"):
+            read_groundstate_archive(path)
 
     @pytest.mark.parametrize("line", [b"J=", b"iterations=", b"pohozaev_dev="])
     def test_missing_trailer_field(self, gs_n3, tmp_path, line):
