@@ -28,9 +28,9 @@ from .nonlinearity import (CoefficientSet, HypothesisReport, ModelSpec, Monomial
                            check_gauge, check_mass_balance, check_real_cone,
                            check_supermodularity, derive_fk, read_model_file,
                            validate_model, write_model_file)
-from .grids import (Field, FieldState, GridSpec, apply_laplacian, grad_sq_integral,
-                    integrate, momentum_density_integral, norm_sq, read_snapshot,
-                    symmetric_decreasing_rearrangement, write_snapshot)
+from .grids import (FieldState, GridSpec, apply_laplacian, grad_sq_integral, integrate,
+                    norm_sq, read_snapshot, symmetric_decreasing_rearrangement,
+                    write_snapshot)
 from .functionals import (FunctionalSnapshot, ThresholdReport, action, charge, energy,
                           interaction, kinetic, linear_term, sharp_constant, snapshot_of,
                           threshold_report, variance, variance_rate, virial_functional,
@@ -42,7 +42,7 @@ from .evolve import (DiagnosticsSeries, EvolutionOutcome, EvolveConfig, pde_resi
 from .groundstate import (ConstrainedMinResult, ConvergenceError, GroundStateResult,
                           amplified_initializer, constrained_minimize,
                           dilated_initializer, lambda_star, modulated_distance,
-                          normalize_KQ1, petviashvili_solve, read_groundstate_archive,
-                          scale_to_solution, write_groundstate_archive)
+                          petviashvili_solve, read_groundstate_archive,
+                          write_groundstate_archive)
 
 __version__ = "0.1.0"

@@ -337,7 +337,9 @@ def pseudo_conformal_with_rate(profile: FieldState, T: float, t: float):
     rho = grid.axis()
     sigma = profile.model.coeffs.sigma
     psi = np.real(profile.components)
-    dpsi = grids.radial_derivative(grid, psi)
+    dpsi = np.zeros_like(psi)  # central d/dr, even at r = 0, Dirichlet at R_max
+    dpsi[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * grid.h)
+    dpsi[:, -1] = -psi[:, -2] / (2.0 * grid.h)
     scaled_grid = grid.scaled(s)
     # at the node r = s rho: phase theta_k = sigma_k (-r^2/(4s) + t/(T s))
     theta = sigma[:, None] * (-s * rho[None, :] ** 2 / 4.0 + t / (T * s))

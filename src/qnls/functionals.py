@@ -98,10 +98,19 @@ def variance(state: FieldState, warn: bool = True) -> float:
 
 
 def variance_rate(state: FieldState) -> float:
-    """V' = 4 sum_k alpha_k Im int (grad u_k . x) conj(u_k)."""
-    a = state.model.coeffs.alpha
-    return float(4.0 * sum(a[k] * grids.momentum_density_integral(state, k)
-                           for k in range(state.l)))
+    """V' = -2 sum_k alpha_k Im sum_i W_i |x_i|^2 conj(u_k,i) (Lap_h u_k)_i, the
+    time derivative of the discrete V under the semi-discrete flow (W the
+    quadrature weights; beta_k drops out pointwise, the couplings by mass
+    balance); in the continuum, 4 sum_k alpha_k Im int (grad u_k . x) conj(u_k).
+    One field at a time: a stacked Laplacian holds a stack-size spectrum."""
+    grid = state.grid
+    weight = grids.quadrature_weights(grid) * grids.radius_sq(grid)
+    rate = 0.0
+    for a_k, u_k in zip(state.model.coeffs.alpha, state.components):
+        lap = grids.apply_laplacian(grid, u_k)
+        lap *= weight
+        rate += a_k * np.vdot(u_k, lap).imag
+    return float(-2.0 * rate)
 
 
 def virial_rhs(state: FieldState, E0: float) -> float:

@@ -27,7 +27,9 @@ discretized here only: :func:`apply_laplacian` (on radial grids the product
 with the bands of :func:`radial_laplacian_banded`, the one place the radial
 stencil is written), :func:`shifted_apply` and its inverse
 :func:`shifted_solver`, the linear substep :func:`propagator`, and the
-kinetic functional :func:`weighted_grad_sq`.
+kinetic functional :func:`weighted_grad_sq`.  The variance rate
+:func:`qnls.functionals.variance_rate` applies :func:`apply_laplacian` too,
+so it is the exact time derivative of V under the semi-discrete flow.
 
 Cartesian transforms are numpy's (``np.fft``), so Cartesian runs load no
 scipy.  Radial grids factor their matrices with LAPACK, which
@@ -109,22 +111,13 @@ def _lapack():
 
 
 @lru_cache(maxsize=64)
-def _cartesian_wavenumbers(grid: GridSpec) -> tuple[np.ndarray, ...]:
+def _cartesian_ksq(grid: GridSpec) -> np.ndarray:
     k1 = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-    ks = []
+    out = np.zeros(grid.shape)
     for axis in range(grid.n):
         shape = [1] * grid.n
         shape[axis] = grid.N
-        ks.append(k1.reshape(shape))
-    return tuple(ks)
-
-
-@lru_cache(maxsize=64)
-def _cartesian_ksq(grid: GridSpec) -> np.ndarray:
-    ks = _cartesian_wavenumbers(grid)
-    out = np.zeros(grid.shape)
-    for k in ks:
-        out = out + k**2
+        out = out + k1.reshape(shape) ** 2
     return out
 
 
@@ -339,24 +332,6 @@ def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
     return step
 
 
-def radial_derivative(grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Central-difference d/dr with even symmetry at 0 and Dirichlet at R_max."""
-    h = grid.h
-    out = np.zeros_like(values)
-    out[..., 1:-1] = (values[..., 2:] - values[..., :-2]) / (2.0 * h)
-    out[..., -1] = -values[..., -2] / (2.0 * h)
-    return out  # d/dr at r=0 vanishes for even profiles
-
-
-def gradient_components(grid: GridSpec, values: np.ndarray) -> list[np.ndarray]:
-    """Spectral partial derivatives (Cartesian) or [d/dr] (radial)."""
-    if grid.kind == RADIAL:
-        return [radial_derivative(grid, values)]
-    axes = tuple(range(-grid.n, 0))
-    vhat = np.fft.fftn(values, axes=axes)
-    return [np.fft.ifftn(1j * k * vhat, axes=axes) for k in _cartesian_wavenumbers(grid)]
-
-
 def integrate(grid: GridSpec, values: np.ndarray) -> float:
     """Quadrature of a real scalar field."""
     return float(np.sum(quadrature_weights(grid) * np.real(values)))
@@ -437,21 +412,6 @@ def weighted_grad_sq(grid: GridSpec, weights: np.ndarray, values: np.ndarray) ->
 
 
 @dataclass(frozen=True)
-class Field:
-    """One complex scalar field sampled on a grid."""
-
-    grid: GridSpec
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=complex, order="C")
-        if values.shape != self.grid.shape:
-            raise ValueError(f"values shape {values.shape} != grid shape {self.grid.shape}")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class FieldState:
     """l complex fields on a common grid at time t, tied to their model."""
 
@@ -480,14 +440,6 @@ class FieldState:
         return np.max(np.abs(self.components), axis=axes)
 
 
-def momentum_density_integral(state: FieldState, k: int) -> float:
-    """Im int (grad u_k . x) conj(u_k) dx."""
-    grid = state.grid
-    u = state.components[k]
-    flux = sum(g * x * np.conj(u) for g, x in zip(gradient_components(grid, u), _coords(grid)))
-    return integrate(grid, np.imag(flux))
-
-
 def boundary_mass_fraction(state: FieldState) -> float:
     """Fraction of the weighted mass density beyond 0.9 of the box half-width.
 
@@ -510,8 +462,9 @@ def boundary_mass_fraction(state: FieldState) -> float:
 # symmetric-decreasing rearrangement
 
 
-def symmetric_decreasing_rearrangement(field: Field) -> Field:
-    """Equimeasurable non-increasing profile of a non-negative field.
+def symmetric_decreasing_rearrangement(grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Equimeasurable non-increasing profile of a non-negative field (the real
+    part of values, of the grid's shape), as a real array.
 
     On Cartesian n=1 all quadrature weights agree, so the rearrangement is a
     pure permutation: sorted values are laid out from the center (x=0)
@@ -521,8 +474,9 @@ def symmetric_decreasing_rearrangement(field: Field) -> Field:
     distribution, preserving super-level measure up to bin resolution and
     the weighted L^1 norm exactly.
     """
-    grid = field.grid
-    vals = np.real(field.values)
+    vals = np.real(values)
+    if vals.shape != grid.shape:
+        raise ValueError(f"values shape {vals.shape} != grid shape {grid.shape}")
     if np.min(vals) < -1e-13 * max(1.0, float(np.max(np.abs(vals)))):
         raise ValueError("rearrangement requires non-negative values")
     vals = np.maximum(vals, 0.0)
@@ -532,7 +486,7 @@ def symmetric_decreasing_rearrangement(field: Field) -> Field:
         order = np.argsort(np.abs(grid.axis()), kind="stable")
         out = np.zeros_like(vals)
         out[order] = np.sort(vals)[::-1]
-        return Field(grid, out.astype(complex))
+        return out
 
     w = quadrature_weights(grid)
     idx = np.argsort(vals)[::-1]
@@ -544,7 +498,7 @@ def symmetric_decreasing_rearrangement(field: Field) -> Field:
     ends = starts + w
     lo = np.interp(starts, cum_mass, cum_int)
     hi = np.interp(ends, cum_mass, cum_int)
-    return Field(grid, ((hi - lo) / w).astype(complex))  # every radial weight is positive
+    return (hi - lo) / w  # every radial weight is positive
 
 
 # ---------------------------------------------------------------------------

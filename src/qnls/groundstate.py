@@ -21,10 +21,9 @@ satisfies; their violation measures pure discretization error.  Every
 stop at n = 5.
 
 The same module hosts the charge-constrained energy minimization (gradient
-flow with renormalization), the sharp-quotient normalizations, the dilation
-(n = 5) and amplification (n = 4) initializers used in the instability
-experiments, and the symmetry-modded distance used to compare field states
-to a profile.
+flow with renormalization), the dilation (n = 5) and amplification (n = 4)
+initializers used in the instability experiments, and the symmetry-modded
+distance used to compare field states to a profile.
 """
 
 from __future__ import annotations
@@ -105,9 +104,7 @@ def _default_init(model: ModelSpec, grid: GridSpec, amplitudes) -> np.ndarray:
     base = np.exp(-rsq)
     init = np.stack([a * base for a in amplitudes])
     if grid.kind == grids.RADIAL or grid.n == 1:
-        init = np.stack([
-            np.real(grids.symmetric_decreasing_rearrangement(grids.Field(grid, c)).values)
-            for c in init])
+        init = np.stack([grids.symmetric_decreasing_rearrangement(grid, c) for c in init])
     return init
 
 
@@ -246,41 +243,6 @@ def _pohozaev_deviations(K, Qcal, P, I, n) -> tuple[float, float, float]:
     if I <= 0:
         raise ValueError("non-positive action: not a localized solution")
     return (abs(P - 2.0 * I) / I, abs(K - n * I) / I, abs(Qcal - (6.0 - n) * I) / I)
-
-
-# ---------------------------------------------------------------------------
-# scaling normalizations
-#
-# The dilation delta_lambda psi = psi(./lambda) acts on grid data exactly by
-# rescaling the grid extent, so these maps are free of interpolation error.
-
-
-def normalize_KQ1(state: FieldState, omega: float) -> FieldState:
-    """Rescale amplitude and length so K = Qcal = 1; leaves J unchanged."""
-    K = functionals.kinetic(state)
-    Qcal = functionals.weighted_mass(state, omega)
-    if K <= 0 or Qcal <= 0:
-        raise ValueError("normalization needs a nonzero field")
-    n = state.grid.n
-    amp = Qcal ** (n / 4.0 - 0.5) / K ** (n / 4.0)
-    lam = np.sqrt(K / Qcal)
-    return FieldState(state.model, state.grid.scaled(lam), amp * state.components, state.t)
-
-
-def scale_to_solution(state: FieldState, xi1: float, omega: float) -> tuple[FieldState, float]:
-    """Map a normalized (K = Qcal = 1) minimizer onto the stationary branch.
-
-    Applies the amplitude 2 xi1 / (6-n) and dilation sqrt((6-n)/n) under
-    which the quotient-minimizing profile solves the elliptic system; the
-    discrete residual of the image is returned alongside it.
-    """
-    n = state.grid.n
-    t0 = 2.0 * xi1 / (6.0 - n)
-    lam0 = np.sqrt((6.0 - n) / n)
-    out = FieldState(state.model, state.grid.scaled(lam0), t0 * state.components, state.t)
-    res = elliptic_residual(state.model, out.grid, np.real(out.components),
-                            state.model.coeffs.b(omega))
-    return out, res
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from qnls import functionals as fn
 from qnls.evolve import (DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
                          pseudo_conformal_with_rate, run_with_monitors, standing_wave,
                          virial_check)
-from qnls.grids import FieldState, GridSpec, apply_laplacian, norm_sq
+from qnls.grids import FieldState, GridSpec, apply_laplacian, norm_sq, radius_sq
 from qnls.groundstate import elliptic_residual, petviashvili_solve
 from qnls.nonlinearity import (CoefficientSet, ModelSpec, TrilinearPotential,
                                builtin_model)
@@ -481,3 +481,19 @@ class TestVarianceRateConsistency:
         d1 = (V[2:] - V[:-2]) / (t[2:] - t[:-2])
         scale = np.max(np.abs(Vp))
         assert np.max(np.abs(d1 - Vp[1:-1])) / scale < 1e-3
+
+    @pytest.mark.parametrize("kind,n", [("cartesian", 1), ("radial", 3), ("radial", 5)])
+    def test_mismatch_falls_as_dt_squared(self, kind, n):
+        # V' is the rate of the discrete V under the semi-discrete flow, so the
+        # gap to the centred difference of the sampled V has no spatial floor
+        g = GridSpec(kind, n, 256, 12.0)
+        rsq = radius_sq(g)
+        st = FieldState(builtin_model("shg3"), g,
+                        np.stack([0.8 * np.exp(0.3j * rsq - rsq)] * 3), 0.0)
+        gaps = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            config = EvolveConfig(dt=dt, t_end=0.1, sample_every=1)
+            diag = run_with_monitors(st, config).diagnostics
+            t, V, Vp = diag.column("t"), diag.column("V"), diag.column("Vp")
+            gaps.append(np.max(np.abs((V[2:] - V[:-2]) / (t[2:] - t[:-2]) - Vp[1:-1])))
+        assert gaps[0] >= 3.5 * gaps[1] and gaps[1] >= 3.5 * gaps[2]

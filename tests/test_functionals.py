@@ -1,10 +1,11 @@
 import io
+import math
 
 import numpy as np
 import pytest
 
 from qnls import functionals as fn
-from qnls.grids import FieldState, GridSpec
+from qnls.grids import FieldState, GridSpec, surface_area_coefficient
 from qnls.groundstate import mass_preserving_dilation, petviashvili_solve
 from qnls.nonlinearity import builtin_model
 
@@ -203,6 +204,48 @@ class TestVarianceAndVirial:
         g = GridSpec("radial", 5, 64, 8.0)
         st = FieldState(m, g, np.zeros((3, 64), dtype=complex), 0.0)
         assert fn.virial_functional(st) == 0.0
+
+
+class TestVarianceRateOracles:
+    """V' = 4 sum_k alpha_k Im int (grad u_k . x) conj(u_k) on closed forms;
+    both uv2 components carry the same field, so V' is 4 sum(alpha) times
+    one momentum integral."""
+
+    @staticmethod
+    def _rate(model, grid, u):
+        return fn.variance_rate(FieldState(model, grid, np.stack([u, u]), 0.0))
+
+    def test_real_field_zero(self, uv2):
+        g = GridSpec("cartesian", 1, 256, 10.0)
+        assert abs(self._rate(uv2, g, np.exp(-g.axis() ** 2))) \
+            < 4.0 * np.sum(uv2.coeffs.alpha) * 1e-14
+
+    def test_plane_phase_odd_integrand(self, uv2):
+        g = GridSpec("cartesian", 1, 512, 15.0)
+        x = g.axis()
+        u = np.exp(1j * (np.pi * 5 / 15.0) * x) * np.exp(-x**2)
+        assert abs(self._rate(uv2, g, u)) < 4.0 * np.sum(uv2.coeffs.alpha) * 1e-12
+
+    def test_chirped_gaussian(self, uv2):
+        # Im int (d/dx u) x conj(u) for u = e^{i b x^2} e^{-x^2} is 2b int x^2 e^{-2x^2}
+        g = GridSpec("cartesian", 1, 1024, 15.0)
+        x = g.axis()
+        b = 0.7
+        expected = 4.0 * np.sum(uv2.coeffs.alpha) * 2 * b * np.sqrt(np.pi / 2) / 4.0
+        rate = self._rate(uv2, g, np.exp(1j * b * x**2 - x**2))
+        assert rate == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_radial_chirp(self, uv2, n):
+        g = GridSpec("radial", n, 1024, 12.0)
+        r = g.axis()
+        b = 0.4
+        # Im(u' r conj(u)) = 2 b r^2 e^{-2 r^2}, and omega_{n-1} int r^{n+1} e^{-2r^2} dr
+        # = omega_{n-1} Gamma(n/2 + 1) / 2^{n/2 + 2}
+        momentum = 2 * b * surface_area_coefficient(n) * math.gamma(n / 2 + 1) / 2 ** (n / 2 + 2)
+        rate = self._rate(uv2, g, np.exp(1j * b * r**2 - r**2))
+        # the radial operator is a second-order finite-volume stencil
+        assert rate == pytest.approx(4.0 * np.sum(uv2.coeffs.alpha) * momentum, rel=1e-3)
 
 
 @pytest.fixture(scope="module")

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 from scipy.linalg import get_lapack_funcs, solve_banded
 
 from qnls import grids
-from qnls.grids import (Field, FieldState, GridSpec, apply_laplacian,
-                        boundary_mass_fraction, grad_sq_integral, gradient_components,
-                        integrate, momentum_density_integral, norm_sq, propagator,
-                        quadrature_weights, radial_derivative, radial_laplacian_banded,
-                        radius_sq, read_snapshot, read_snapshot_raw, shifted_solver,
+from qnls.grids import (FieldState, GridSpec, apply_laplacian, boundary_mass_fraction,
+                        grad_sq_integral, integrate, norm_sq, propagator,
+                        quadrature_weights, radial_laplacian_banded, radius_sq,
+                        read_snapshot, read_snapshot_raw, shifted_solver,
                         symmetric_decreasing_rearrangement, weighted_density,
                         write_snapshot)
 from qnls.nonlinearity import builtin_model
@@ -274,14 +273,12 @@ class TestVarianceWeights:
     def test_radius_sq_multiply(self):
         g = GridSpec("cartesian", 1, 512, 15.0)
         x = g.axis()
-        f = Field(g, np.exp(-x**2).astype(complex))
-        moment = integrate(g, np.real(radius_sq(g) * f.values) * np.exp(-x**2))
+        moment = integrate(g, radius_sq(g) * np.exp(-2 * x**2))
         assert moment == pytest.approx(np.sqrt(np.pi / 2) / 4, abs=1e-10)  # int x^2 e^{-2x^2}
 
     def test_zero_field(self):
         g = GridSpec("radial", 3, 64, 5.0)
-        f = Field(g, np.zeros(64, dtype=complex))
-        assert np.all(radius_sq(g) * f.values == 0.0)
+        assert np.all(radius_sq(g) * np.zeros(64) == 0.0)
 
     @pytest.mark.parametrize("shape", [(3, 64), (2, 16, 16)])
     def test_weighted_density_matches_component_loop(self, shape):
@@ -294,60 +291,19 @@ class TestVarianceWeights:
             assert np.allclose(dens, loop, rtol=8 * np.finfo(float).eps, atol=0.0)
 
 
-class TestMomentum:
-    def test_real_field_zero(self):
-        m = builtin_model("uv2")
-        g = GridSpec("cartesian", 1, 256, 10.0)
-        x = g.axis()
-        st = FieldState(m, g, np.stack([np.exp(-x**2)] * 2).astype(complex), 0.0)
-        assert abs(momentum_density_integral(st, 0)) < 1e-14
-
-    def test_plane_phase_odd_integrand(self):
-        m = builtin_model("uv2")
-        g = GridSpec("cartesian", 1, 512, 15.0)
-        x = g.axis()
-        u = np.exp(1j * (np.pi * 5 / 15.0) * x) * np.exp(-x**2)
-        st = FieldState(m, g, np.stack([u, u]), 0.0)
-        assert abs(momentum_density_integral(st, 0)) < 1e-12
-
-    def test_chirped_gaussian(self):
-        # Im int (d/dx u) x conj(u) for u = e^{i b x^2} e^{-x^2} is 2b int x^2 e^{-2x^2}
-        m = builtin_model("uv2")
-        g = GridSpec("cartesian", 1, 1024, 15.0)
-        x = g.axis()
-        b = 0.7
-        u = np.exp(1j * b * x**2 - x**2)
-        st = FieldState(m, g, np.stack([u, u]), 0.0)
-        expected = 2 * b * np.sqrt(np.pi / 2) / 4.0
-        assert momentum_density_integral(st, 0) == pytest.approx(expected, abs=1e-8)
-
-    def test_radial_chirp(self):
-        m = builtin_model("uv2")
-        g = GridSpec("radial", 3, 1024, 12.0)
-        r = g.axis()
-        b = 0.4
-        u = np.exp(1j * b * r**2 - r**2)
-        st = FieldState(m, g, np.stack([u, u]), 0.0)
-        # Im(u' r conj(u)) = 2 b r^2 e^{-2 r^2}; 4 pi int 2b r^4 e^{-2r^2} dr
-        expected = 8 * np.pi * b * (3.0 / 8.0) * np.sqrt(np.pi) * 2.0**-2.5
-        # radial gradients are second-order finite differences
-        assert momentum_density_integral(st, 0) == pytest.approx(expected, rel=1e-3)
-
-
 class TestRearrangement:
     def test_fixed_point(self):
         g = GridSpec("radial", 3, 256, 10.0)
-        f = Field(g, np.exp(-g.axis() ** 2).astype(complex))
-        out = symmetric_decreasing_rearrangement(f)
-        assert np.max(np.abs(out.values - f.values)) < 1e-12
+        f = np.exp(-g.axis() ** 2)
+        out = symmetric_decreasing_rearrangement(g, f)
+        assert out.dtype == np.float64 and np.max(np.abs(out - f)) < 1e-12
 
     def test_two_bump_cartesian_exact(self):
         g = GridSpec("cartesian", 1, 256, 10.0)
         x = g.axis()
-        f = (np.exp(-((x - 3) ** 2)) + 0.7 * np.exp(-((x + 4) ** 2))).astype(complex)
-        out = symmetric_decreasing_rearrangement(Field(g, f))
-        assert abs(norm_sq(g, out.values) - norm_sq(g, f)) < 1e-10
-        v = np.real(out.values)
+        f = np.exp(-((x - 3) ** 2)) + 0.7 * np.exp(-((x + 4) ** 2))
+        v = symmetric_decreasing_rearrangement(g, f)
+        assert abs(norm_sq(g, v) - norm_sq(g, f)) < 1e-10
         char = np.argmin(np.abs(x))
         assert np.all(np.diff(v[char:]) <= 1e-14)
         assert v[char] == np.max(v)
@@ -369,8 +325,7 @@ class TestRearrangement:
                         for _ in range(3))
                 comps.append(c)
             comps = np.stack(comps).astype(complex)
-            rearr = np.stack([symmetric_decreasing_rearrangement(Field(g, c)).values
-                              for c in comps])
+            rearr = np.stack([symmetric_decreasing_rearrangement(g, c) for c in comps])
             st, st_r = FieldState(m, g, comps, 0.0), FieldState(m, g, rearr, 0.0)
             assert abs(fn.charge(st_r) - fn.charge(st)) <= 1e-10 * fn.charge(st)
             assert fn.kinetic(st_r) <= fn.kinetic(st) + 1e-10
@@ -379,24 +334,27 @@ class TestRearrangement:
     def test_radial_rebinning(self):
         g = GridSpec("radial", 3, 512, 10.0)
         r = g.axis()
-        f = (np.exp(-((r - 3) ** 2)) + 0.5 * np.exp(-(r**2))).astype(complex)
-        out = symmetric_decreasing_rearrangement(Field(g, f))
-        v = np.real(out.values)
+        f = np.exp(-((r - 3) ** 2)) + 0.5 * np.exp(-(r**2))
+        v = symmetric_decreasing_rearrangement(g, f)
         assert np.all(np.diff(v) <= 1e-12)
         # weighted L1 is conserved exactly by the quantile averaging
-        assert integrate(g, v) == pytest.approx(integrate(g, np.real(f)), rel=1e-12)
+        assert integrate(g, v) == pytest.approx(integrate(g, f), rel=1e-12)
         # L2 within quadrature resolution
-        assert norm_sq(g, out.values) == pytest.approx(norm_sq(g, f), rel=1e-3)
+        assert norm_sq(g, v) == pytest.approx(norm_sq(g, f), rel=1e-3)
 
     def test_negative_rejected(self):
         g = GridSpec("cartesian", 1, 64, 5.0)
         with pytest.raises(ValueError):
-            symmetric_decreasing_rearrangement(Field(g, -np.ones(64, dtype=complex)))
+            symmetric_decreasing_rearrangement(g, -np.ones(64))
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            symmetric_decreasing_rearrangement(GridSpec("radial", 3, 64, 5.0), np.ones(63))
 
     def test_cartesian_2d_unsupported(self):
         g = GridSpec("cartesian", 2, 16, 5.0)
         with pytest.raises(ValueError):
-            symmetric_decreasing_rearrangement(Field(g, np.ones(g.shape, dtype=complex)))
+            symmetric_decreasing_rearrangement(g, np.ones(g.shape))
 
 
 class TestFieldState:
@@ -463,7 +421,6 @@ def _numpy_spectral_reference(g):
         "step": lambda dt, a, b, c, u: np.fft.ifftn(
             np.stack([np.exp(1j * dt / ak * (-ck * ksq - bk)) for ak, bk, ck in zip(a, b, c)])
             * np.fft.fftn(u, axes=axes), axes=axes),
-        "grad": lambda u: [np.fft.ifftn(1j * k * np.fft.fftn(u)) for k in ks],
         "grad_sq": lambda u: g.h**g.n / g.N**g.n * np.sum(ksq * np.abs(np.fft.fftn(u))**2),
     }
 
@@ -504,7 +461,6 @@ class TestSpectralOperatorsMatchNumpy:
         # the in-place transform that Stepper.step asks for changes no bit
         work = u.copy()
         assert step(work, overwrite_x=True) is work and np.array_equal(work, step(u))
-        self._close(gradient_components(g, u[0]), ref["grad"](u[0]))
         self._close(grad_sq_integral(g, u[0]), ref["grad_sq"](u[0]))
         assert f.tobytes() == keep_f and u.tobytes() == keep_u
 
@@ -621,15 +577,9 @@ class TestSnapshots:
             read_snapshot(path, m3)
 
 
-class TestLaplacianFieldWrapper:
-    def test_field_api(self):
+class TestLaplacianPlaneWave:
+    def test_plane_wave(self):
         g = GridSpec("cartesian", 1, 128, 10.0)
         xi0 = np.pi * 2 / g.extent
-        f = Field(g, np.exp(1j * xi0 * g.axis()))
-        out = apply_laplacian(g, f.values)
-        assert np.max(np.abs(out + xi0**2 * f.values)) < 1e-12
-
-    def test_gradient_components_count(self):
-        g = GridSpec("cartesian", 2, 16, 3.0)
-        grads = gradient_components(g, np.ones(g.shape, dtype=complex))
-        assert len(grads) == 2
+        f = np.exp(1j * xi0 * g.axis())
+        assert np.max(np.abs(apply_laplacian(g, f) + xi0**2 * f)) < 1e-12

@@ -11,9 +11,8 @@ from qnls.groundstate import (PETVIASHVILI_LHS_REFRESH, PETVIASHVILI_TOL,
                               constrained_minimize, dilated_initializer,
                               elliptic_residual, lambda_star,
                               mass_preserving_dilation, modulated_distance,
-                              normalize_KQ1, peak_aligned_linf_error,
-                              petviashvili_solve, read_groundstate_archive,
-                              scale_to_solution, spectral_shift,
+                              peak_aligned_linf_error, petviashvili_solve,
+                              read_groundstate_archive, spectral_shift,
                               write_groundstate_archive)
 from qnls.nonlinearity import builtin_model
 
@@ -255,64 +254,7 @@ class TestPohozaev:
             _pohozaev_deviations(1.0, 1.0, 1.0, -0.5, 3)
 
 
-class TestNormalizations:
-    def test_normalize_unit_values(self, gs_n3):
-        st = normalize_KQ1(gs_n3.state, 1.0)
-        assert fn.kinetic(st) == pytest.approx(1.0, abs=1e-10)
-        assert fn.weighted_mass(st, 1.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_normalize_random_field(self):
-        m = builtin_model("uv2")
-        g = GridSpec("cartesian", 1, 256, 15.0)
-        rng = np.random.default_rng(8)
-        comps = np.stack([rng.uniform(0.5, 1.5) * np.exp(-g.axis() ** 2)
-                          for _ in range(2)]).astype(complex)
-        st = FieldState(m, g, comps, 0.0)
-        out = normalize_KQ1(st, 1.0)
-        assert fn.kinetic(out) == pytest.approx(1.0, abs=1e-12)
-        assert fn.weighted_mass(out, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert fn.weinstein_quotient(out, 1.0) == pytest.approx(
-            fn.weinstein_quotient(st, 1.0), rel=1e-12)
-
-    def test_normalize_zero_rejected(self):
-        m = builtin_model("uv2")
-        g = GridSpec("cartesian", 1, 64, 5.0)
-        st = FieldState(m, g, np.zeros((2, 64), dtype=complex), 0.0)
-        with pytest.raises(ValueError):
-            normalize_KQ1(st, 1.0)
-
-    def test_idempotent_on_normalized(self, gs_n3):
-        st = normalize_KQ1(gs_n3.state, 1.0)
-        again = normalize_KQ1(st, 1.0)
-        assert again.grid.extent == pytest.approx(st.grid.extent, rel=1e-12)
-        assert np.allclose(again.components, st.components)
-
-    def test_scale_to_solution_closure_spectral(self, uv2_exact):
-        # on the spectral grid the structural identities hold to rounding, so
-        # the normalize -> rescale loop lands back on the stationary branch
-        result, _ = uv2_exact
-        normalized = normalize_KQ1(result.state, 1.0)
-        xi1 = fn.weinstein_infimum(result.Qcal, 1)
-        rescaled, residual = scale_to_solution(normalized, xi1, 1.0)
-        assert residual < 1e-5
-
-    def test_scale_to_solution_closure_radial(self, gs_n3):
-        normalized = normalize_KQ1(gs_n3.state, 1.0)
-        xi1 = fn.weinstein_infimum(gs_n3.Qcal, 3)
-        rescaled, residual = scale_to_solution(normalized, xi1, 1.0)
-        # radial identities hold to O(h^2); the loop residual inherits that
-        assert residual < 50 * max(gs_n3.pohozaev_dev)
-        n = gs_n3.grid.n
-        lam0 = np.sqrt((6.0 - n) / n)
-        assert rescaled.grid.extent == pytest.approx(
-            normalized.grid.extent * lam0, rel=1e-12)
-
-    def test_lambda0_formula_n5(self, gs_n5):
-        normalized = normalize_KQ1(gs_n5.state, 1.0)
-        rescaled, _ = scale_to_solution(normalized, fn.weinstein_infimum(gs_n5.Qcal, 5), 1.0)
-        assert rescaled.grid.extent / normalized.grid.extent \
-            == pytest.approx(np.sqrt(1.0 / 5.0), rel=1e-12)
-
+class TestWeinsteinInfimum:
     def test_xi1_matches_quotient(self, gs_n3, gs_n5):
         assert fn.weinstein_infimum(gs_n3.Qcal, 3) == pytest.approx(gs_n3.J, rel=1e-3)
         assert fn.weinstein_infimum(gs_n5.Qcal, 5) == pytest.approx(gs_n5.J, rel=1e-3)
@@ -543,7 +485,7 @@ class TestQuotientMinimality:
         # weighted masses, lowers the Dirichlet sum, and raises the
         # interaction, so the quotient cannot go up
         from qnls import functionals as fn
-        from qnls.grids import Field, symmetric_decreasing_rearrangement
+        from qnls.grids import symmetric_decreasing_rearrangement
         m = builtin_model("uv2")
         g = GridSpec("cartesian", 1, 256, 12.0)
         x = g.axis()
@@ -554,8 +496,7 @@ class TestQuotientMinimality:
                                                    / rng.uniform(0.5, 2.0))
                     for _ in range(3)) for _ in range(2)]).astype(complex)
             st = FieldState(m, g, comps, 0.0)
-            rearr = np.stack([symmetric_decreasing_rearrangement(Field(g, c)).values
-                              for c in comps])
+            rearr = np.stack([symmetric_decreasing_rearrangement(g, c) for c in comps])
             st_r = FieldState(m, g, rearr, 0.0)
             assert fn.weinstein_quotient(st_r, 1.0) \
                 <= fn.weinstein_quotient(st, 1.0) + 1e-10
