@@ -223,13 +223,15 @@ def shifted_solver(grid: GridSpec, shift, scale):
     """
     if grid.kind == CARTESIAN:
         ksq = _cartesian_half_ksq(grid)
-        # complex times real is about 3x faster than complex over real
+        # multiplying is about 3x faster than dividing; scaling the real and
+        # imaginary views in place casts no complex copy of recip
         recip = 1.0 / np.stack([c * ksq + s for s, c in zip(shift, scale)])
         axes, work = tuple(range(-grid.n, 0)), np.empty(recip.shape, dtype=complex)
 
         def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
             spectrum = np.fft.rfftn(rhs, axes=axes, out=work)
-            spectrum *= recip
+            np.multiply(spectrum.real, recip, out=spectrum.real)
+            np.multiply(spectrum.imag, recip, out=spectrum.imag)
             return _irfftn(grid, spectrum, out)
 
         return solve

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qnls import functionals as fn
-from qnls.evolve import (DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
+from qnls.evolve import (RK4_BLOCK, DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
                          pseudo_conformal_with_rate, run_with_monitors, standing_wave,
                          virial_check)
 from qnls.grids import FieldState, GridSpec, apply_laplacian, norm_sq, radius_sq
@@ -110,7 +110,70 @@ class TestLinearEvolution:
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
+def full_grid_rk4(model, comps, dt):
+    """The RK4 substep's ufunc sequence run over the whole grid at once."""
+    ia = (1j / model.coeffs.alpha).reshape((model.l,) + (1,) * (comps.ndim - 1))
+
+    def rhs(z, out):
+        model.eval_fk(z, out=out)
+        return np.multiply(out, ia, out=out)
+
+    y, k, acc = np.empty((3,) + comps.shape, dtype=complex)
+    h = 0.5 * dt
+    rhs(comps, out=acc)
+    np.add(comps, np.multiply(acc, 0.5 * h, out=y), out=y)
+    rhs(y, out=k)
+    np.add(comps, np.multiply(k, 0.5 * h, out=y), out=y)
+    np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+    rhs(y, out=k)
+    np.add(comps, np.multiply(k, h, out=y), out=y)
+    np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+    rhs(y, out=k)
+    np.add(acc, k, out=acc)
+    return np.add(comps, np.multiply(acc, h / 6.0, out=acc))
+
+
 class TestNonlinearSubstep:
+    @pytest.mark.parametrize("name", ["shg3", "cascade3"])
+    @pytest.mark.parametrize("kind,dim,points,blocks", [
+        pytest.param("radial", 5, 1024, 1, id="radial-5-1024"),
+        pytest.param("cartesian", 2, 128, 2, id="cartesian-2-128"),
+        pytest.param("cartesian", 2, 96, 2, id="cartesian-2-96"),
+        pytest.param("cartesian", 3, 24, 2, id="cartesian-3-24")])
+    def test_blocks_match_the_full_grid_substep(self, name, kind, dim, points, blocks):
+        # every stage operation is pointwise and each block runs them in the
+        # same order, so blocking changes no bit: fewer points than a block,
+        # a whole number of blocks, and a partial last block
+        m = builtin_model(name)
+        g = GridSpec(kind, dim, points, 8.0)
+        assert -(-g.size // RK4_BLOCK) == blocks
+        rng = np.random.default_rng(points)
+        comps = rng.normal(size=(m.l,) + g.shape) + 1j * rng.normal(size=(m.l,) + g.shape)
+        stepper, dt = Stepper(m, g), 1e-2
+        assert np.array_equal(stepper.nonlinear_half_step(comps, dt),
+                              full_grid_rk4(m, comps, dt))
+        assert np.array_equal(stepper.step(comps, dt, 0.5 * dt),
+                              stepper.linear_step(full_grid_rk4(m, comps, 2.0 * dt), dt))
+
+    def test_substep_holds_block_sized_stages(self):
+        # the stage buffers hold one block of 8192 points (0.375 of a 3x256^2
+        # stack), and the result is the only state-sized array: 1.5 stacks
+        # against 4 with grid-sized stages
+        import tracemalloc
+        m, g = builtin_model("shg3"), GridSpec("cartesian", 2, 256, 12.0)
+        stack = 16 * m.l * g.size
+        rng = np.random.default_rng(6)
+        comps = rng.normal(size=(m.l,) + g.shape) + 1j * rng.normal(size=(m.l,) + g.shape)
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            out = Stepper(m, g).nonlinear_half_step(comps, 1e-2)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert out.shape == comps.shape
+        assert peak <= 2 * stack
+
     def test_pointwise_density_invariance_order(self):
         # the coupled quadratic ODE preserves sum (a^2/g)|u|^2 pointwise; RK4
         # breaks it only at fifth order per substep

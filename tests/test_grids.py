@@ -42,12 +42,14 @@ class TestGridSpec:
 
 
 class TestCartesianOperators:
-    def test_plane_wave_eigenfunction(self):
-        g = GridSpec("cartesian", 1, 256, 20.0)
-        x = g.axis()
-        xi0 = np.pi * 7 / g.extent  # on-grid wavenumber
-        f = np.exp(1j * xi0 * x)
-        assert np.max(np.abs(apply_laplacian(g, f) + xi0**2 * f)) < 1e-11
+    @pytest.mark.parametrize("N,extent,m,bound", [
+        pytest.param(256, 20.0, 7, 1e-11, id="N256-m7"),
+        pytest.param(128, 10.0, 2, 1e-12, id="N128-m2")])
+    def test_plane_wave_eigenfunction(self, N, extent, m, bound):
+        g = GridSpec("cartesian", 1, N, extent)
+        xi0 = np.pi * m / g.extent  # on-grid wavenumber
+        f = np.exp(1j * xi0 * g.axis())
+        assert np.max(np.abs(apply_laplacian(g, f) + xi0**2 * f)) < bound
 
     def test_constant_field(self):
         g = GridSpec("cartesian", 2, 32, 5.0)
@@ -576,10 +578,3 @@ class TestSnapshots:
         with pytest.raises(ValueError):
             read_snapshot(path, m3)
 
-
-class TestLaplacianPlaneWave:
-    def test_plane_wave(self):
-        g = GridSpec("cartesian", 1, 128, 10.0)
-        xi0 = np.pi * 2 / g.extent
-        f = np.exp(1j * xi0 * g.axis())
-        assert np.max(np.abs(apply_laplacian(g, f) + xi0**2 * f)) < 1e-12
