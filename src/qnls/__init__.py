@@ -2,8 +2,9 @@
 
 The package splits into five layers:
 
-* :mod:`qnls.nonlinearity` -- trilinear potentials, their Wirtinger-derived
-  couplings, and the structural hypothesis checks.
+* :mod:`qnls.nonlinearity` -- the model type (coefficients and the monomials
+  of a trilinear potential), its Wirtinger-derived couplings, and the
+  structural hypothesis checks.
 * :mod:`qnls.grids` -- periodic Cartesian and truncated radial meshes with
   the discrete operators and quadratures.
 * :mod:`qnls.functionals` -- charge, energy, variational quotients, virial
@@ -23,11 +24,10 @@ if _os.environ.get("QNLS_THREADS"):
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         _os.environ.setdefault(_var, _os.environ["QNLS_THREADS"])
 
-from .nonlinearity import (CoefficientSet, HypothesisReport, ModelSpec, Monomial,
-                           TrilinearPotential, builtin_model, check_degree_identity,
-                           check_gauge, check_mass_balance, check_real_cone,
-                           check_supermodularity, derive_fk, read_model_file,
-                           validate_model, write_model_file)
+from .nonlinearity import (CoefficientSet, HypothesisReport, ModelSpec, Term, builtin_model,
+                           check_degree_identity, check_gauge, check_mass_balance,
+                           check_real_cone, check_supermodularity, derive_fk,
+                           read_model_file, validate_model, write_model_file)
 from .grids import (FieldState, GridSpec, apply_laplacian, grad_sq_integral, integrate,
                     norm_sq, read_snapshot, symmetric_decreasing_rearrangement,
                     write_snapshot)

@@ -1,8 +1,9 @@
-"""Trilinear interaction potentials and the quadratic couplings they generate.
+"""The model type: a trilinear potential and the quadratic couplings it generates.
 
-A model is defined by a degree-3 polynomial potential F in the field
-components (z_1, ..., z_l) and their conjugates, together with the linear
-coefficients (alpha_k, gamma_k, beta_k) of the dispersive system
+A model (ModelSpec) is the linear coefficients (alpha_k, gamma_k, beta_k)
+together with a degree-3 polynomial potential F in the field components
+(z_1, ..., z_l) and their conjugates, stored as its list of monomials
+(Term), of the dispersive system
 
     i alpha_k d_t u_k + gamma_k Lap u_k - beta_k u_k = -f_k(u_1, ..., u_l).
 
@@ -12,9 +13,9 @@ The coupling terms are the Wirtinger gradient of the real part of F,
 
 which for a degree-3 potential is a homogeneous degree-2 polynomial in
 (z, conj z).  Because F is stored as an explicit monomial list, the f_k are
-computed symbolically (term shifting, no differentiation error) and the
-structural hypotheses on the model can be checked either exactly (per
-monomial) or by seeded random sampling on the unit polydisc.
+computed symbolically (term shifting, no differentiation error).  H8 is
+decided exactly from the monomials; the other structural hypotheses are
+checked by seeded random sampling on the unit polydisc.
 
 For evaluation, every term list is compiled once into a product plan: each
 monomial becomes its coefficient and the indices of its factors in the
@@ -53,7 +54,8 @@ DEFAULT_TOL = 1e-10
 
 
 class Term(NamedTuple):
-    """One monomial coeff * prod z_j^powers_j * prod conj(z_j)^conj_powers_j."""
+    """One monomial coeff * prod z_j^powers_j * prod conj(z_j)^conj_powers_j,
+    of the potential F (degree 3) or of a coupling f_k (degree 2)."""
 
     coeff: complex
     powers: tuple[int, ...]
@@ -154,88 +156,29 @@ def eval_terms(program: Program, z: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """Degree-3 monomial of the potential.  coeff != 0 and total degree 3."""
-
-    coeff: complex
-    powers: tuple[int, ...]
-    conj_powers: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeff", complex(self.coeff))
-        object.__setattr__(self, "powers", tuple(int(p) for p in self.powers))
-        object.__setattr__(self, "conj_powers", tuple(int(q) for q in self.conj_powers))
-        if len(self.powers) != len(self.conj_powers):
-            raise ValueError("powers and conj_powers must have the same length")
-        if any(p < 0 for p in self.powers + self.conj_powers):
-            raise ValueError("exponents must be non-negative")
-        if sum(self.powers) + sum(self.conj_powers) != 3:
-            raise ValueError("potential monomials must have total degree 3")
-        if self.coeff == 0:
-            raise ValueError("zero terms are dropped, not stored")
-
-    def as_term(self) -> Term:
-        return Term(self.coeff, self.powers, self.conj_powers)
-
-
-@dataclass(frozen=True)
-class TrilinearPotential:
-    """Degree-3 potential F as an explicit monomial list over l components."""
-
-    l: int
-    terms: tuple[Monomial, ...]
-
-    program: Program = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "terms", tuple(self.terms))
-        for m in self.terms:
-            if len(m.powers) != self.l:
-                raise ValueError("all terms must have the component count l")
-        object.__setattr__(self, "program",
-                           compile_program(self.l, [[m.as_term() for m in self.terms]]))
-
-    def eval(self, z) -> np.ndarray | complex:
-        """F(z) for a length-l vector or (l, ...) field stack; real z and
-        real coefficients give a real result (see eval_terms)."""
-        z = np.asarray(z)
-        if z.shape[0] != self.l:
-            raise ValueError(f"expected {self.l} components, got {z.shape[0]}")
-        return eval_terms(self.program, z)[0]
-
-    def real_restriction(self) -> list[tuple[float, tuple[int, ...]]]:
-        """F as a real polynomial of the real vector y (valid under H7)."""
-        acc: dict[tuple[int, ...], complex] = {}
-        for m in self.terms:
-            key = tuple(p + q for p, q in zip(m.powers, m.conj_powers))
-            acc[key] = acc.get(key, 0.0) + m.coeff
-        return [(c.real, mono) for mono, c in sorted(acc.items()) if abs(c) > 0.0]
-
-
-def derive_fk(potential: TrilinearPotential) -> list[list[Term]]:
-    """Wirtinger-derive the couplings f_k = dF/d(conj z_k) + conj(dF/dz_k).
+def derive_fk(l: int, terms) -> list[list[Term]]:
+    """Wirtinger-derive the couplings f_k = dF/d(conj z_k) + conj(dF/dz_k)
+    of the potential with these terms over l components.
 
     Differentiation acts per monomial: d/d(conj z_k) lowers conj_powers[k],
     and the conjugated holomorphic derivative swaps the exponent roles with a
     conjugated coefficient.  Each f_k comes out as a collected degree-2 term
     list.
     """
-    l = potential.l
     fk: list[list[Term]] = []
     for k in range(l):
-        terms: list[Term] = []
-        for m in potential.terms:
+        out: list[Term] = []
+        for m in terms:
             if m.conj_powers[k] > 0:
                 q = list(m.conj_powers)
                 q[k] -= 1
-                terms.append(Term(m.coeff * m.conj_powers[k], m.powers, tuple(q)))
+                out.append(Term(m.coeff * m.conj_powers[k], m.powers, tuple(q)))
             if m.powers[k] > 0:
                 # conj(d/dz_k of c z^p conj(z)^q) = conj(c) p_k z^q conj(z)^(p - e_k)
                 p = list(m.powers)
                 p[k] -= 1
-                terms.append(Term(np.conj(m.coeff) * m.powers[k], m.conj_powers, tuple(p)))
-        fk.append(_collect(terms))
+                out.append(Term(np.conj(m.coeff) * m.powers[k], m.conj_powers, tuple(p)))
+        fk.append(_collect(out))
     return fk
 
 
@@ -291,29 +234,56 @@ class CoefficientSet:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Complete system definition: coefficients, potential, derived couplings."""
+    """Complete system definition: the coefficients, and the monomials of the
+    potential F over their l components.  F and the couplings f_k derived
+    from it are compiled once, here.
+
+    Each term must have l exponents on each side, none negative, total
+    degree 3 and a non-zero coefficient; a term that has not raises
+    ValueError naming it as a model-file term line.  Terms are stored with
+    a complex coefficient and int exponents.
+    """
 
     coeffs: CoefficientSet
-    potential: TrilinearPotential
-    fk: tuple = field(default=None)  # derived; filled in __post_init__
+    terms: tuple[Term, ...]
     name: str = "custom"
+    fk: tuple[tuple[Term, ...], ...] = field(default=(), init=False)
+    F_program: Program = field(default=None, init=False, repr=False, compare=False)
     fk_program: Program = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.coeffs.l != self.potential.l:
-            raise ValueError("coefficient count and potential component count differ")
-        derived = tuple(tuple(ts) for ts in derive_fk(self.potential))
-        if self.fk is not None and tuple(tuple(ts) for ts in self.fk) != derived:
-            raise ValueError("fk must be the Wirtinger derivative of the potential")
-        object.__setattr__(self, "fk", derived)
-        object.__setattr__(self, "fk_program", compile_program(self.l, derived))
+        l = self.l
+        terms = tuple(Term(complex(c), tuple(map(int, p)), tuple(map(int, q)))
+                      for c, p, q in self.terms)
+        for t in terms:
+            if len(t.powers) != l or len(t.conj_powers) != l:
+                why = f"a term needs {l} exponents on each side"
+            elif any(e < 0 for e in t.powers + t.conj_powers):
+                why = "exponents must be non-negative"
+            elif t.degree != 3:
+                why = "potential monomials must have total degree 3"
+            elif t.coeff == 0:
+                why = "zero terms are dropped, not stored"
+            else:
+                continue
+            raise ValueError(f"bad field {_term_line(t)}: {why}")
+        fk = tuple(tuple(ts) for ts in derive_fk(l, terms))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "fk", fk)
+        object.__setattr__(self, "F_program", compile_program(l, [terms]))
+        object.__setattr__(self, "fk_program", compile_program(l, fk))
 
     @property
     def l(self) -> int:
         return self.coeffs.l
 
     def eval_F(self, z) -> np.ndarray | complex:
-        return self.potential.eval(z)
+        """F(z) for a length-l vector or (l, ...) field stack; real z and
+        real coefficients give a real result (see eval_terms)."""
+        z = np.asarray(z)
+        if z.shape[0] != self.l:
+            raise ValueError(f"expected {self.l} components, got {z.shape[0]}")
+        return eval_terms(self.F_program, z)[0]
 
     def eval_fk(self, z, out: np.ndarray | None = None) -> np.ndarray:
         """All couplings stacked: shape (l,) on vectors, (l, ...) on fields.
@@ -371,28 +341,9 @@ class HypothesisReport:
         return out
 
 
-def check_gauge(model: ModelSpec, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                strict: bool = False) -> float:
-    """Max deviation from the coupled phase equivariance of f_k and Re F.
-
-    In strict mode the per-monomial criterion is used instead of sampling:
-    every monomial of Re F whose phase weight sum_j sigma_j (p_j - q_j) is
-    nonzero must cancel against the mirrored monomial with conjugate
-    coefficient.
-    """
+def check_gauge(model: ModelSpec, n_samples: int = DEFAULT_SAMPLES, seed: int = 0) -> float:
+    """Max deviation from the coupled phase equivariance of f_k and Re F."""
     sigma = model.coeffs.sigma
-    if strict:
-        groups: dict[tuple, complex] = {}
-        for m in model.potential.terms:
-            groups[(m.powers, m.conj_powers)] = groups.get((m.powers, m.conj_powers), 0.0) + m.coeff
-        dev = 0.0
-        for (p, q), c in groups.items():
-            w = float(np.dot(sigma, np.array(p) - np.array(q)))
-            if abs(w) < 1e-12:
-                continue
-            mirror = np.conj(groups.get((q, p), 0.0))
-            dev = max(dev, abs(c + mirror))
-        return dev
     rng = np.random.default_rng(seed)
     z = _sample_polydisc(rng, model.l, n_samples).T
     theta = rng.uniform(0.0, 2 * np.pi, size=n_samples)
@@ -445,52 +396,35 @@ def check_modulus_bound(model: ModelSpec, n_samples: int = DEFAULT_SAMPLES, seed
 
 
 def supermodular_cross_partials(model: ModelSpec) -> list[tuple[int, int, list[tuple[float, tuple[int, ...]]]]]:
-    """Symbolic cross partials d^2 F / dy_i dy_j (i < j) of the real restriction."""
-    restr = model.potential.real_restriction()
+    """Symbolic cross partials d^2 F / dy_i dy_j (i < j) of F on real y,
+    where each term c y^(p + q) counts with Re c (valid under H7)."""
+    acc: dict[tuple[int, ...], complex] = {}
+    for t in model.terms:
+        key = tuple(p + q for p, q in zip(t.powers, t.conj_powers))
+        acc[key] = acc.get(key, 0.0) + t.coeff
+    restr = [(c.real, mono) for mono, c in sorted(acc.items()) if abs(c) > 0.0]
     out = []
     for i in range(model.l):
         for j in range(i + 1, model.l):
-            acc: dict[tuple[int, ...], float] = {}
+            cross: dict[tuple[int, ...], float] = {}
             for c, mono in restr:
                 if mono[i] >= 1 and mono[j] >= 1:
                     new = list(mono)
                     new[i] -= 1
                     new[j] -= 1
                     key = tuple(new)
-                    acc[key] = acc.get(key, 0.0) + c * mono[i] * mono[j]
-            out.append((i, j, [(c, m) for m, c in sorted(acc.items())]))
+                    cross[key] = cross.get(key, 0.0) + c * mono[i] * mono[j]
+            out.append((i, j, [(c, m) for m, c in sorted(cross.items())]))
     return out
 
 
-def check_supermodularity(model: ModelSpec, n_samples: int = DEFAULT_SAMPLES, seed: int = 0,
-                          strict: bool = False) -> float:
-    """Min cross partial of F over the positive cone (negative means failure).
-
-    The cross partials of a degree-3 potential are linear in y, so in strict
-    mode non-negativity on the cone reduces to non-negativity of every
-    polynomial coefficient.
-    """
-    cross = supermodular_cross_partials(model)
-    if not cross:
-        return 0.0  # single component, nothing to check
-    if strict:
-        coeffs = [c for _, _, terms in cross for c, _ in terms]
-        return float(min(coeffs)) if coeffs else 0.0
-    rng = np.random.default_rng(seed)
-    y = rng.uniform(0.0, 1.0, size=(model.l, n_samples))
-    worst = np.inf
-    for _, _, terms in cross:
-        if not terms:
-            continue
-        val = np.zeros(n_samples)
-        for c, mono in terms:
-            term = np.full(n_samples, c)
-            for jj, m in enumerate(mono):
-                if m:
-                    term = term * y[jj] ** m
-            val += term
-        worst = min(worst, float(np.min(val)))
-    return 0.0 if worst is np.inf else worst
+def check_supermodularity(model: ModelSpec) -> float:
+    """Smallest coefficient of the cross partials of F (0.0 when there are
+    none); negative means failure.  The cross partials of a degree-3
+    potential are linear in y with no constant, so they are non-negative on
+    the positive cone exactly when every coefficient is."""
+    coeffs = [c for _, _, terms in supermodular_cross_partials(model) for c, _ in terms]
+    return float(min(coeffs, default=0.0))
 
 
 def _wirtinger_fd(model: ModelSpec, z: np.ndarray, k: int, h: float = 0.05) -> np.ndarray:
@@ -528,7 +462,7 @@ def validate_model(model: ModelSpec, n_samples: int = DEFAULT_SAMPLES,
     z = _sample_polydisc(rng, model.l, n_samples).T
     f = model.eval_fk(z)
     denom = np.sum(np.abs(z) ** 2, axis=0)
-    growth = float(np.max(np.abs(f) / denom[None, :])) if model.potential.terms else 0.0
+    growth = float(np.max(np.abs(f) / denom[None, :])) if model.terms else 0.0
     structural = all(t.degree == 2 for ts in model.fk for t in ts)
     checks["H2"] = CheckResult(structural, 0.0, f"quadratic growth constant {growth:.3g}")
 
@@ -559,7 +493,7 @@ def validate_model(model: ModelSpec, n_samples: int = DEFAULT_SAMPLES,
     checks["H7"] = CheckResult(ok, max(im, -min_f, 0.0),
                                f"Im on reals {im:.2e}, min f on cone {min_f:.2e}")
 
-    min_cross = check_supermodularity(model, n_samples, seed=seed + 4)
+    min_cross = check_supermodularity(model)
     checks["H8"] = CheckResult(min_cross >= -tol, max(-min_cross, 0.0),
                                f"min cross partial {min_cross:.2e}")
 
@@ -591,15 +525,15 @@ def builtin_model(name: str, beta=None, chi: float = 1.0, kappa: float = 0.5) ->
     global-existence thresholds).
     """
     if name == "shg3":
-        terms = [Monomial(0.5 * chi, (0, 2, 0), (1, 0, 0)),
-                 Monomial(0.5, (0, 0, 2), (1, 0, 0))]
+        terms = (Term(0.5 * chi, (0, 2, 0), (1, 0, 0)),
+                 Term(0.5, (0, 0, 2), (1, 0, 0)))
         alpha, gamma = (2.0, 1.0, 1.0), (1.0, 1.0, 1.0)
     elif name == "cascade3":
-        terms = [Monomial(0.5, (2, 0, 0), (0, 1, 0)),
-                 Monomial(chi, (1, 1, 0), (0, 0, 1))]
+        terms = (Term(0.5, (2, 0, 0), (0, 1, 0)),
+                 Term(chi, (1, 1, 0), (0, 0, 1)))
         alpha, gamma = (1.0, 2.0, 3.0), (1.0, 1.0, 1.0)
     elif name == "uv2":
-        terms = [Monomial(1.0, (0, 1), (2, 0))]
+        terms = (Term(1.0, (0, 1), (2, 0)),)
         alpha, gamma = (1.0, 1.0), (1.0, float(kappa))
     else:
         raise ValueError(f"unknown builtin model {name!r}")
@@ -608,8 +542,7 @@ def builtin_model(name: str, beta=None, chi: float = 1.0, kappa: float = 0.5) ->
         beta = np.zeros(l)
     beta = np.broadcast_to(np.asarray(beta, dtype=float), (l,)).copy()
     coeffs = CoefficientSet(alpha=np.array(alpha), gamma=np.array(gamma), beta=beta)
-    return ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=l, terms=tuple(terms)),
-                     name=name)
+    return ModelSpec(coeffs=coeffs, terms=terms, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -628,11 +561,14 @@ def model_lines(model: ModelSpec) -> list[str]:
     for key in ("alpha", "gamma", "beta"):
         vals = getattr(model.coeffs, key)
         lines.append(f"{key}=" + ",".join(repr(float(v)) for v in vals))
-    for m in model.potential.terms:
-        p = ",".join(str(v) for v in m.powers)
-        q = ",".join(str(v) for v in m.conj_powers)
-        lines.append(f"term={m.coeff.real!r},{m.coeff.imag!r};p={p};q={q}")
-    return lines
+    return lines + [_term_line(t) for t in model.terms]
+
+
+def _term_line(t: Term) -> str:
+    """The model-file line of a term with a complex coefficient."""
+    p = ",".join(str(v) for v in t.powers)
+    q = ",".join(str(v) for v in t.conj_powers)
+    return f"term={t.coeff.real!r},{t.coeff.imag!r};p={p};q={q}"
 
 
 def parse_fields(pairs, spec: dict) -> dict:
@@ -664,14 +600,14 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
-def _term(value: str) -> Monomial:
+def _term(value: str) -> Term:
     """The monomial of a term line's value "<re>,<im>;p=<csv>;q=<csv>"."""
     coeff, *exponents = value.split(";")
     re_im = _floats(coeff)
     if len(re_im) != 2:
         raise ValueError(f"coefficient {coeff!r} is not <re>,<im>")
     pq = parse_fields(exponents, {"p": _ints, "q": _ints})
-    return Monomial(complex(*re_im), pq["p"], pq["q"])
+    return Term(complex(*re_im), pq["p"], pq["q"])
 
 
 def parse_model_lines(lines) -> ModelSpec:
@@ -695,8 +631,7 @@ def parse_model_lines(lines) -> ModelSpec:
                             beta=np.array(h["beta"]))
     if coeffs.l != h["l"]:
         raise ValueError(f"bad field l={h['l']}: alpha, gamma and beta have {coeffs.l} values")
-    return ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=h["l"], terms=tuple(terms)),
-                     name="file")
+    return ModelSpec(coeffs=coeffs, terms=tuple(terms), name="file")
 
 
 def write_model_file(model: ModelSpec, path) -> None:

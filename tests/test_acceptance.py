@@ -19,9 +19,9 @@ from qnls.groundstate import (amplified_initializer, constrained_minimize,
                               dilated_initializer, lambda_star,
                               mass_preserving_dilation, modulated_distance,
                               peak_aligned_linf_error, petviashvili_solve)
-from qnls.nonlinearity import (CoefficientSet, ModelSpec, Monomial, TrilinearPotential,
-                               builtin_model, check_degree_identity, check_gauge,
-                               check_mass_balance, validate_model)
+from qnls.nonlinearity import (CoefficientSet, ModelSpec, Term, builtin_model,
+                               check_degree_identity, check_gauge, check_mass_balance,
+                               validate_model)
 
 RADIAL_PARAMS = {1: (1024, 20.0), 2: (1024, 16.0), 3: (1024, 14.0),
                  4: (1536, 14.0), 5: (2048, 12.0)}
@@ -62,10 +62,9 @@ def test_criterion_01_hypothesis_validators():
     for name in ("shg3", "cascade3", "uv2"):
         rep = validate_model(builtin_model(name), n_samples=1000, seed=0)
         devs[name] = (rep.passed, rep.max_deviation())
-    terms = (Monomial(0.5, (1, 1, 1), (0, 0, 0)), Monomial(0.5, (0, 0, 0), (1, 1, 1)))
+    terms = (Term(0.5, (1, 1, 1), (0, 0, 0)), Term(0.5, (0, 0, 0), (1, 1, 1)))
     bad = ModelSpec(coeffs=CoefficientSet(alpha=np.ones(3), gamma=np.ones(3),
-                                          beta=np.zeros(3)),
-                    potential=TrilinearPotential(l=3, terms=terms))
+                                          beta=np.zeros(3)), terms=terms)
     gauge_dev = check_gauge(bad, 1000, seed=0)
     elapsed = time.perf_counter() - t0
     ok = (all(p and d < 1e-10 for p, d in devs.values())

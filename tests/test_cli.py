@@ -10,8 +10,7 @@ import pytest
 import qnls
 from qnls import cli
 from qnls.cli import build_settings, main, make_parser, parse_config_file
-from qnls.nonlinearity import (CoefficientSet, ModelSpec, Monomial, TrilinearPotential,
-                               write_model_file)
+from qnls.nonlinearity import CoefficientSet, ModelSpec, Term, write_model_file
 
 
 def test_config_parsing(tmp_path):
@@ -137,9 +136,9 @@ def test_validate_builtin_passes(tmp_path):
 
 def test_validate_counterexample_fails(tmp_path):
     # F = z1 z2 z3 + conj with unit phase weights: the phase invariance breaks
-    terms = (Monomial(0.5, (1, 1, 1), (0, 0, 0)), Monomial(0.5, (0, 0, 0), (1, 1, 1)))
+    terms = (Term(0.5, (1, 1, 1), (0, 0, 0)), Term(0.5, (0, 0, 0), (1, 1, 1)))
     coeffs = CoefficientSet(alpha=np.ones(3), gamma=np.ones(3), beta=np.zeros(3))
-    model = ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=3, terms=terms))
+    model = ModelSpec(coeffs=coeffs, terms=terms)
     mfile = tmp_path / "model.txt"
     write_model_file(model, mfile)
     out = tmp_path / "rep"

@@ -7,14 +7,13 @@ from qnls.evolve import (RK4_BLOCK, DiagnosticsSeries, EvolveConfig, Stepper, pd
                          virial_check)
 from qnls.grids import FieldState, GridSpec, apply_laplacian, norm_sq, radius_sq
 from qnls.groundstate import elliptic_residual, petviashvili_solve
-from qnls.nonlinearity import (CoefficientSet, ModelSpec, TrilinearPotential,
-                               builtin_model)
+from qnls.nonlinearity import CoefficientSet, ModelSpec, builtin_model
 
 
 def linear_model(alpha=2.0, gamma=1.0, beta=0.5):
     coeffs = CoefficientSet(alpha=np.array([alpha]), gamma=np.array([gamma]),
                             beta=np.array([beta]))
-    return ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=1, terms=()))
+    return ModelSpec(coeffs=coeffs, terms=())
 
 
 @pytest.fixture(scope="module")

@@ -66,9 +66,9 @@ class TestBasicFunctionals:
                                   - 2.0 * fn.interaction(st), rel=1e-14)
 
     def test_linear_model_energy(self, grid1):
-        from qnls.nonlinearity import CoefficientSet, ModelSpec, TrilinearPotential
+        from qnls.nonlinearity import CoefficientSet, ModelSpec
         coeffs = CoefficientSet(alpha=np.ones(1), gamma=np.ones(1), beta=np.array([2.0]))
-        m = ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=1, terms=()))
+        m = ModelSpec(coeffs=coeffs, terms=())
         st = random_state(m, grid1, seed=4)
         assert fn.energy(st) == pytest.approx(fn.kinetic(st) + fn.linear_term(st))
 

@@ -84,9 +84,9 @@ class TestPetviashvili:
             petviashvili_solve(m, 1.0, g, init=np.zeros((2, 256)))
 
     def test_linear_model_diverges(self):
-        from qnls.nonlinearity import CoefficientSet, ModelSpec, TrilinearPotential
+        from qnls.nonlinearity import CoefficientSet, ModelSpec
         coeffs = CoefficientSet(alpha=np.ones(1), gamma=np.ones(1), beta=np.zeros(1))
-        m = ModelSpec(coeffs=coeffs, potential=TrilinearPotential(l=1, terms=()))
+        m = ModelSpec(coeffs=coeffs, terms=())
         with pytest.raises(ConvergenceError):
             petviashvili_solve(m, 1.0, GridSpec("cartesian", 1, 64, 10.0))
 
