@@ -4,7 +4,8 @@ The package splits into five layers:
 
 * :mod:`qnls.nonlinearity` -- the model type (coefficients and the monomials
   of a trilinear potential), its Wirtinger-derived couplings, and the
-  structural hypothesis checks.
+  structural hypothesis checks, all run by ``validate_model`` on one seeded
+  sample draw.
 * :mod:`qnls.grids` -- periodic Cartesian and truncated radial meshes with
   the discrete operators and quadratures.
 * :mod:`qnls.functionals` -- charge, energy, variational quotients, virial
@@ -25,9 +26,8 @@ if _os.environ.get("QNLS_THREADS"):
         _os.environ.setdefault(_var, _os.environ["QNLS_THREADS"])
 
 from .nonlinearity import (CoefficientSet, HypothesisReport, ModelSpec, Term, builtin_model,
-                           check_degree_identity, check_gauge, check_mass_balance,
-                           check_real_cone, check_supermodularity, derive_fk,
-                           read_model_file, validate_model, write_model_file)
+                           check_supermodularity, derive_fk, read_model_file, validate_model,
+                           write_model_file)
 from .grids import (FieldState, GridSpec, apply_laplacian, grad_sq_integral, integrate,
                     norm_sq, read_snapshot, symmetric_decreasing_rearrangement,
                     write_snapshot)

@@ -255,7 +255,7 @@ def _collapse_config(st: Settings) -> EvolveConfig:
 def cmd_validate(st: Settings) -> ExperimentReport:
     rep = ExperimentReport("validate", settings=st.as_dict())
     model = st.resolve_model()
-    hyp = validate_model(model, n_samples=1000, seed=st.seed)
+    hyp = validate_model(model, seed=st.seed)
     for name, result in hyp.checks.items():
         rep.criteria.append(Criterion(f"{model.name}:{name}", float(result.deviation), 0.0,
                                       float(hyp.tol), result.passed,

@@ -19,9 +19,7 @@ from qnls.groundstate import (amplified_initializer, constrained_minimize,
                               dilated_initializer, lambda_star,
                               mass_preserving_dilation, modulated_distance,
                               peak_aligned_linf_error, petviashvili_solve)
-from qnls.nonlinearity import (CoefficientSet, ModelSpec, Term, builtin_model,
-                               check_degree_identity, check_gauge, check_mass_balance,
-                               validate_model)
+from qnls.nonlinearity import CoefficientSet, ModelSpec, Term, builtin_model, validate_model
 
 RADIAL_PARAMS = {1: (1024, 20.0), 2: (1024, 16.0), 3: (1024, 14.0),
                  4: (1536, 14.0), 5: (2048, 12.0)}
@@ -60,12 +58,12 @@ def test_criterion_01_hypothesis_validators():
     t0 = time.perf_counter()
     devs = {}
     for name in ("shg3", "cascade3", "uv2"):
-        rep = validate_model(builtin_model(name), n_samples=1000, seed=0)
+        rep = validate_model(builtin_model(name), seed=0)
         devs[name] = (rep.passed, rep.max_deviation())
     terms = (Term(0.5, (1, 1, 1), (0, 0, 0)), Term(0.5, (0, 0, 0), (1, 1, 1)))
     bad = ModelSpec(coeffs=CoefficientSet(alpha=np.ones(3), gamma=np.ones(3),
                                           beta=np.zeros(3)), terms=terms)
-    gauge_dev = check_gauge(bad, 1000, seed=0)
+    gauge_dev = validate_model(bad, seed=0).checks["gauge"].deviation
     elapsed = time.perf_counter() - t0
     ok = (all(p and d < 1e-10 for p, d in devs.values())
           and gauge_dev > 0.1 and elapsed < 1.0)
@@ -76,9 +74,9 @@ def test_criterion_01_hypothesis_validators():
 def test_criterion_02_algebraic_identities():
     worst_balance = worst_degree = 0.0
     for name in ("shg3", "cascade3", "uv2"):
-        m = builtin_model(name)
-        worst_balance = max(worst_balance, check_mass_balance(m, 1000, seed=0))
-        worst_degree = max(worst_degree, check_degree_identity(m, 1000, seed=0))
+        checks = validate_model(builtin_model(name), seed=0).checks
+        worst_balance = max(worst_balance, checks["mass_balance"].deviation)
+        worst_degree = max(worst_degree, checks["degree_identity"].deviation)
     ok = worst_balance < 1e-12 and worst_degree < 1e-12
     report(2, ok, f"phase balance {worst_balance:.1e}, "
                   f"degree identity {worst_degree:.1e} over 1000 samples")
