@@ -32,16 +32,19 @@ kinetic functional :func:`weighted_grad_sq`.  The variance rate
 so it is the exact time derivative of V under the semi-discrete flow.
 
 Cartesian transforms are numpy's (``np.fft``), so Cartesian runs load no
-scipy.  Radial grids factor their matrices with LAPACK, which
-:func:`_lapack` imports from ``scipy.linalg`` when the first radial
-:class:`GridSpec` is built.
+scipy.  Radial grids factor their matrices with LAPACK: :func:`_lapack` loads
+scipy's compiled ``scipy.linalg._flapack`` from its extension file, running no
+scipy package code, when the first radial :class:`GridSpec` is built.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from importlib import machinery, util
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -73,7 +76,7 @@ class GridSpec:
         if not self.extent > 0:
             raise ValueError("extent must be positive")
         if self.kind == RADIAL:
-            _lapack()  # load scipy.linalg now rather than in the first solve
+            _lapack()  # load LAPACK now rather than in the first solve
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -105,9 +108,20 @@ def surface_area_coefficient(n: int) -> float:
 
 @lru_cache(maxsize=None)
 def _lapack():
-    """``scipy.linalg.get_lapack_funcs``, imported on the first call."""
-    from scipy.linalg import get_lapack_funcs
-    return get_lapack_funcs
+    """``scipy.linalg._flapack``, loaded from its extension file without running
+    scipy's package code; it is shared with scipy.linalg through sys.modules."""
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = util.find_spec("scipy")  # finds the directory, runs no scipy code
+        paths = [os.path.join(d, "linalg", "_flapack" + x) for x in machinery.EXTENSION_SUFFIXES
+                 for d in (scipy.submodule_search_locations if scipy else ())]
+        path = next(filter(os.path.isfile, paths), None)
+        if path is None:
+            raise ImportError(f"radial grids need {name} from scipy>=1.13")
+        spec = util.spec_from_file_location(name, path)
+        sys.modules[name] = util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 @lru_cache(maxsize=64)
@@ -216,7 +230,7 @@ def shifted_solver(grid: GridSpec, shift, scale):
     solve is not reentrant.  Radial grids factor the l tridiagonal matrices
     once, here, as one block-tridiagonal matrix of size l N with zero sub- and
     superdiagonals at the block seams (LAPACK's LU with partial pivoting,
-    ?gttrf, real or complex as get_lapack_funcs picks from the coefficients);
+    dgttrf on float64 coefficients, zgttrf on complex128 ones, from :func:`_lapack`);
     solve runs one ?gttrs over the flattened stack.  Pivoting never crosses a
     zero subdiagonal, so each block is factored and solved exactly as it would
     be on its own.  Raises LinAlgError when a radial matrix is singular.
@@ -240,15 +254,16 @@ def shifted_solver(grid: GridSpec, shift, scale):
     sub = -scale * np.concatenate([ab[2, :-1], [0.0]])
     sup = -scale * np.concatenate([ab[0, 1:], [0.0]])
     bands = (sub.ravel()[:-1], (shift - scale * ab[1]).ravel(), sup.ravel()[:-1])
-    gttrf, gttrs = _lapack()(("gttrf", "gttrs"), bands)
+    t = "z" if np.result_type(shift, scale, float).kind == "c" else "d"  # gttrf casts the bands
+    gttrf, gttrs = (getattr(_lapack(), t + routine) for routine in ("gttrf", "gttrs"))
     *lu, info = gttrf(*bands, overwrite_dl=1, overwrite_d=1, overwrite_du=1)
     if info != 0:
-        raise LinAlgError(f"radial matrix is singular ({gttrf.typecode}gttrf info={info})")
+        raise LinAlgError(f"radial matrix is singular ({t}gttrf info={info})")
 
     def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         x, info = gttrs(*lu, rhs.reshape(-1))
         if info != 0:
-            raise LinAlgError(f"{gttrs.typecode}gttrs failed (info={info})")
+            raise LinAlgError(f"{t}gttrs failed (info={info})")
         if out is None:
             return x.reshape(rhs.shape)
         out[...] = x.reshape(rhs.shape)

@@ -487,8 +487,8 @@ def model_lines(model: ModelSpec) -> list[str]:
 
 def _term_line(t: Term) -> str:
     """The model-file line of a term with a complex coefficient."""
-    p = ",".join(str(v) for v in t.powers)
-    q = ",".join(str(v) for v in t.conj_powers)
+    p, q = (",".join(str(int(v) if float(v).is_integer() else v) for v in exponents)
+            for exponents in (t.powers, t.conj_powers))
     return f"term={t.coeff.real!r},{t.coeff.imag!r};p={p};q={q}"
 
 

@@ -267,12 +267,13 @@ def test_scaling_law_scenario(tmp_path):
     assert ratio["pass"]
 
 
-def test_scipy_is_loaded_for_radial_lapack_only(tmp_path):
-    # Cartesian transforms are numpy's; radial grids import scipy.linalg's LAPACK
+def test_radial_run_loads_only_scipys_lapack_extension(tmp_path):
+    # Cartesian transforms are numpy's; radial grids load scipy's compiled
+    # LAPACK wrapper from its file, without importing scipy or scipy.linalg
     script = f"""
 import sys
 def scipy_modules():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
 import qnls
 from qnls.cli import main
 assert not scipy_modules(), "import qnls loaded " + ", ".join(scipy_modules())
@@ -281,9 +282,8 @@ base = ["evolve", "--model", "shg3", "--dim", "1", "--points", "64", "--extent",
 main(base + ["--kind", "cartesian", "--out", {str(tmp_path / "cartesian")!r}])
 assert not scipy_modules(), "a Cartesian run loaded " + ", ".join(scipy_modules())
 main(base + ["--kind", "radial", "--out", {str(tmp_path / "radial")!r}])
-assert "scipy.linalg" in sys.modules, "a radial run did not load scipy.linalg"
-for name in ("scipy.fft", "scipy.special"):
-    assert name not in sys.modules, "a radial run loaded " + name
+loaded = scipy_modules()
+assert loaded == ["scipy.linalg._flapack"], "a radial run loaded " + ", ".join(loaded)
 """
     src = str(Path(qnls.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

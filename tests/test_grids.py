@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,7 +272,7 @@ class TestFactoredRadialSolve:
     def test_singular_matrix_raises(self):
         # a zero diagonal with zero off-diagonals leaves a zero pivot
         g = GridSpec("radial", 3, 16, 4.0)
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(np.linalg.LinAlgError, match="dgttrf info="):
             shifted_solver(g, [0.0], [0.0])
 
 
@@ -515,8 +520,64 @@ class TestCallerOwnedBuffers:
         assert first.tobytes() == keep and not np.shares_memory(first, second)
         assert solve(a).tobytes() == keep
 
-    def test_lapack_accessor_is_cached_scipy_linalg(self):
-        assert grids._lapack() is grids._lapack() is get_lapack_funcs
+    def test_lapack_module_is_cached_and_picks_d_or_z_routines(self, monkeypatch):
+        flapack = grids._lapack()
+        assert grids._lapack() is flapack is sys.modules["scipy.linalg._flapack"]
+        for t, bands in (("d", np.ones(3)), ("z", np.ones(3, dtype=complex))):
+            gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), (bands,))
+            assert gttrf is getattr(flapack, t + "gttrf")
+            assert gttrs is getattr(flapack, t + "gttrs")
+        picked = []
+
+        class Recorder:
+            def __getattr__(self, routine):
+                picked.append(routine)
+                return getattr(flapack, routine)
+
+        monkeypatch.setattr(grids, "_lapack", Recorder)
+        g = GridSpec("radial", 3, 16, 4.0)
+        shifted_solver(g, [1.0], [0.5])(np.ones((1, 16)))
+        shifted_solver(g, [1.0 + 0.5j], [0.1j])(np.ones((1, 16), dtype=complex))
+        assert picked == ["dgttrf", "dgttrs", "zgttrf", "zgttrs"]
+
+    def test_missing_lapack_extension_raises_one_import_error(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+        monkeypatch.setattr(grids.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match=r"scipy\.linalg\._flapack from scipy>=1\.13"):
+            grids._lapack.__wrapped__()
+
+    def test_scipy_linalg_imported_after_a_radial_solve_solves_the_same(self):
+        # a fresh process: the radial solve loads the extension first, then
+        # scipy.linalg reuses that module and its routines give the same bits
+        script = """
+import sys
+import numpy as np
+from qnls.grids import GridSpec, radial_laplacian_banded, shifted_solver
+g = GridSpec("radial", 5, 64, 8.0)
+rng = np.random.default_rng(3)
+shift, scale = 1.0 + 0.02j * rng.uniform(size=2), 0.01j * rng.uniform(size=2)
+rhs = rng.normal(size=(2, 64)) + 1j * rng.normal(size=(2, 64))
+x = shifted_solver(g, shift, scale)(rhs)
+flapack = sys.modules["scipy.linalg._flapack"]
+assert "scipy.linalg" not in sys.modules
+from scipy.linalg import _flapack, get_lapack_funcs
+assert _flapack is flapack
+ab, ref = radial_laplacian_banded(g), []
+for s, c, b in zip(shift, scale, rhs):
+    bands = (-c * ab[2, :-1], s - c * ab[1], -c * ab[0, 1:])
+    gttrf, gttrs = get_lapack_funcs(("gttrf", "gttrs"), bands)
+    assert gttrf is flapack.zgttrf and gttrs is flapack.zgttrs
+    *lu, info = gttrf(*bands)
+    assert info == 0
+    ref.append(gttrs(*lu, b)[0])
+assert np.array_equal(x, np.array(ref))
+assert np.array_equal(shifted_solver(g, shift, scale)(rhs), x)
+"""
+        src = str(Path(grids.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env=dict(os.environ, PYTHONPATH=path))
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestSnapshots:

@@ -43,6 +43,16 @@ class TestMonomialInvariants:
             model_of(Term(1.0, (2.5, 0), (1, 0)))
         assert model_of(Term(1.0, (2.0, 0), (1, 0))).terms == (Term(1 + 0j, (2, 0), (1, 0)),)
 
+    def test_refused_term_is_named_by_a_line_that_reads_back_refused(self):
+        # integral float exponents are written as ints, so the named line
+        # parses and is refused for the same reason
+        with pytest.raises(ValueError) as refused:
+            model_of(Term(1.0, (4.0, 0, 0), (-1, 0, 0)), l=3)
+        line = str(refused.value).removeprefix("bad field ").partition(":")[0]
+        assert line == "term=1.0,0.0;p=4,0,0;q=-1,0,0"
+        with pytest.raises(ValueError, match="exponents must be non-negative"):
+            parse_model_lines(["l=3", "alpha=1,1,1", "gamma=1,1,1", "beta=0,0,0", line])
+
     def test_component_count_consistent(self):
         with pytest.raises(ValueError, match="3 exponents on each side"):
             model_of(Term(1.0, (2, 1), (0, 0)), l=3)
