@@ -5,10 +5,8 @@ Two grid kinds cover the laboratory:
 * Cartesian: the box [-L, L)^n with N points per axis and periodic
   boundaries.  Differential operators are exact Fourier multipliers with
   wavenumbers xi = pi m / L, quadrature is the plain Riemann sum h^n sum f
-  (trapezoid = Riemann sum under periodicity).  A real field goes through
-  the real-to-real transforms (rfftn, a multiplier on the half spectrum,
-  irfftn back to the grid shape) and stays real; a complex field goes
-  through the full complex transforms.
+  (trapezoid = Riemann sum under periodicity).  Every multiplier is
+  applied by one routine, :func:`_fourier_multiply`.
 
 * Radial: nodes r_i = i h on [0, R_max], h = R_max / N, holding radially
   symmetric profiles in dimension 1 <= n <= 5, with a Dirichlet value at
@@ -73,8 +71,8 @@ class GridSpec:
             raise ValueError("radial grids support 1 <= n <= 5")
         if self.N < 8:
             raise ValueError(f"need at least 8 points per axis, got N={self.N}")
-        if not self.extent > 0:
-            raise ValueError("extent must be positive")
+        if not 0 < self.extent < math.inf:
+            raise ValueError(f"extent must be positive and finite, got {self.extent}")
         if self.kind == RADIAL:
             _lapack()  # load LAPACK now rather than in the first solve
 
@@ -88,7 +86,7 @@ class GridSpec:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)  # exact: a header's N**n may pass int64
 
     def axis(self) -> np.ndarray:
         """Coordinates along one axis (Cartesian) or the radius (radial)."""
@@ -125,14 +123,15 @@ def _lapack():
 
 
 @lru_cache(maxsize=64)
+def _cartesian_xi(grid: GridSpec) -> np.ndarray:
+    """The wavenumbers xi = pi m / L along one axis, in fftfreq order."""
+    return 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
+
+
+@lru_cache(maxsize=64)
 def _cartesian_ksq(grid: GridSpec) -> np.ndarray:
-    k1 = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-    out = np.zeros(grid.shape)
-    for axis in range(grid.n):
-        shape = [1] * grid.n
-        shape[axis] = grid.N
-        out = out + k1.reshape(shape) ** 2
-    return out
+    """|xi|^2 on the grid's spectrum, summed over the open mesh of the axes."""
+    return sum(np.ix_(*[_cartesian_xi(grid) ** 2] * grid.n))
 
 
 @lru_cache(maxsize=64)
@@ -141,18 +140,49 @@ def _cartesian_half_ksq(grid: GridSpec) -> np.ndarray:
     return np.ascontiguousarray(_cartesian_ksq(grid)[..., :grid.N // 2 + 1])
 
 
-@lru_cache(maxsize=64)
-def _cartesian_half_ksq_pairs(grid: GridSpec) -> np.ndarray:
-    """:func:`_cartesian_half_ksq` with each value twice: it scales a half
-    spectrum through its real view, (re, im) pairs interleaved."""
-    return np.repeat(_cartesian_half_ksq(grid), 2, axis=-1)
-
-
 def _irfftn(grid: GridSpec, spectrum: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """irfftn over the grid axes, its complex passes in spectrum's memory."""
     for axis in range(-grid.n, -1):
         np.fft.ifft(spectrum, axis=axis, out=spectrum)
     return np.fft.irfft(spectrum, n=grid.N, axis=-1, out=out)
+
+
+def _fourier_multiply(grid: GridSpec, values: np.ndarray, mult: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """F^{-1}[mult F v] over the grid axes for each field v of values (leading
+    axes free), into out when given: the one Fourier multiplier of every
+    Cartesian operator.  A complex stack is transformed whole, in out's
+    memory (out may be values), with mult on the full spectrum.  A real stack
+    stays real, with a real mult on the rfftn half spectrum (last axis
+    N//2 + 1); its fields go one at a time through one half spectrum of a
+    field's size, scaled through the .real and .imag views (a complex times
+    real product would cast mult to a complex temporary).  On 3x256^2 that
+    loop runs in about 0.7 of the time of one stacked transform."""
+    axes = tuple(range(-grid.n, 0))
+    if np.iscomplexobj(values):
+        spectrum = np.fft.fftn(values, axes=axes, out=out)
+        spectrum *= mult
+        return np.fft.ifftn(spectrum, axes=axes, out=spectrum)
+    if out is None:
+        out = np.empty_like(values)
+    spectrum = np.empty(_cartesian_half_ksq(grid).shape, dtype=complex)
+    fields, half = (-1,) + grid.shape, (-1,) + spectrum.shape
+    mults = np.broadcast_to(mult, values.shape[:values.ndim - grid.n] + spectrum.shape)
+    for v, o, m in zip(values.reshape(fields), out.reshape(fields), mults.reshape(half)):
+        np.fft.rfftn(v, axes=axes, out=spectrum)
+        np.multiply(spectrum.real, m, out=spectrum.real)
+        np.multiply(spectrum.imag, m, out=spectrum.imag)
+        _irfftn(grid, spectrum, o)
+    return out
+
+
+def spectral_shift(grid: GridSpec, values: np.ndarray, y: float) -> np.ndarray:
+    """Periodic translation by y on a Cartesian n=1 grid (band-limited exact),
+    as a new complex array."""
+    if grid.kind != CARTESIAN or grid.n != 1:
+        raise ValueError("spectral translation is a 1-d Cartesian operation")
+    return _fourier_multiply(grid, np.asarray(values, dtype=complex),
+                             np.exp(-1j * _cartesian_xi(grid) * y))
 
 
 @lru_cache(maxsize=64)
@@ -225,30 +255,21 @@ def shifted_solver(grid: GridSpec, shift, scale):
     modified).
 
     Cartesian grids multiply the half spectrum of a real right-hand side by
-    the reciprocal of shift_k + scale_k |xi|^2, formed once here, in a
-    workspace the solver owns (real coefficients; the result is real), so
-    solve is not reentrant.  Radial grids factor the l tridiagonal matrices
-    once, here, as one block-tridiagonal matrix of size l N with zero sub- and
-    superdiagonals at the block seams (LAPACK's LU with partial pivoting,
-    dgttrf on float64 coefficients, zgttrf on complex128 ones, from :func:`_lapack`);
-    solve runs one ?gttrs over the flattened stack.  Pivoting never crosses a
-    zero subdiagonal, so each block is factored and solved exactly as it would
-    be on its own.  Raises LinAlgError when a radial matrix is singular.
+    the reciprocal of shift_k + scale_k |xi|^2, formed once here and the
+    solver's only memory (real coefficients; the result is real).  Radial
+    grids factor the l tridiagonal matrices once, here, as one
+    block-tridiagonal matrix of size l N with zero sub- and superdiagonals at
+    the block seams (LAPACK's LU with partial pivoting, dgttrf on float64
+    coefficients, zgttrf on complex128 ones, from :func:`_lapack`); solve
+    runs one ?gttrs over the flattened stack.  Pivoting never crosses a zero
+    subdiagonal, so each block is factored and solved exactly as it would be
+    on its own.  Raises LinAlgError when a radial matrix is singular.
     """
     if grid.kind == CARTESIAN:
         ksq = _cartesian_half_ksq(grid)
-        # multiplying is about 3x faster than dividing; scaling the real and
-        # imaginary views in place casts no complex copy of recip
+        # multiplying is about 3x faster than dividing
         recip = 1.0 / np.stack([c * ksq + s for s, c in zip(shift, scale)])
-        axes, work = tuple(range(-grid.n, 0)), np.empty(recip.shape, dtype=complex)
-
-        def solve(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-            spectrum = np.fft.rfftn(rhs, axes=axes, out=work)
-            np.multiply(spectrum.real, recip, out=spectrum.real)
-            np.multiply(spectrum.imag, recip, out=spectrum.imag)
-            return _irfftn(grid, spectrum, out)
-
-        return solve
+        return lambda rhs, out=None: _fourier_multiply(grid, rhs, recip, out)
     ab = radial_laplacian_banded(grid)
     shift, scale = np.asarray(shift)[:, None], np.asarray(scale)[:, None]
     sub = -scale * np.concatenate([ab[2, :-1], [0.0]])
@@ -276,27 +297,10 @@ def apply_laplacian(grid: GridSpec, values: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Discrete Laplacian of one field or a stack (leading axes free); real in,
     real out; into out (the shape of values, not overlapping it) when given.
-    Real Cartesian stacks are transformed one field at a time through one
-    spectrum of a field's size, not the stack's, scaled by |xi|^2 through its
-    real view and the result negated (a complex times real product would
-    cast |xi|^2 to a complex temporary); on 3x256^2 the loop runs in about
-    0.7 of the time of one stacked transform."""
+    Cartesian grids multiply by -|xi|^2."""
     if grid.kind == CARTESIAN:
-        axes = tuple(range(-grid.n, 0))
-        if np.iscomplexobj(values):
-            spectrum = np.fft.fftn(values, axes=axes, out=out)
-            spectrum *= -_cartesian_ksq(grid)
-            return np.fft.ifftn(spectrum, axes=axes, out=spectrum)
-        if out is None:
-            out = np.empty_like(values)
-        ksq_pairs, fields = _cartesian_half_ksq_pairs(grid), (-1,) + grid.shape
-        spectrum = np.empty(_cartesian_half_ksq(grid).shape, dtype=complex)
-        reals = spectrum.view(float)
-        for v, o in zip(values.reshape(fields), out.reshape(fields)):
-            np.fft.rfftn(v, axes=axes, out=spectrum)
-            reals *= ksq_pairs
-            np.negative(_irfftn(grid, spectrum, o), out=o)
-        return out
+        ksq = _cartesian_ksq(grid) if np.iscomplexobj(values) else _cartesian_half_ksq(grid)
+        return _fourier_multiply(grid, values, -ksq, out)
     ab = radial_laplacian_banded(grid)
     lap = np.multiply(ab[1], values, out=out)
     lap[..., :-1] += ab[0, 1:] * values[..., 1:]
@@ -331,14 +335,8 @@ def propagator(grid: GridSpec, dt: float, alpha, beta, gamma):
         # built per component: one broadcast over the stack slows the later FFTs
         phases = np.stack([np.exp(1j * dt / a * (-g * ksq - b))
                            for a, b, g in zip(alpha, beta, gamma)])
-        axes = tuple(range(-grid.n, 0))
-
-        def step(u: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-            uhat = np.fft.fftn(u, axes=axes, out=u if overwrite_x else None)
-            uhat *= phases
-            return np.fft.ifftn(uhat, axes=axes, out=uhat)
-
-        return step
+        return lambda u, overwrite_x=False: _fourier_multiply(grid, u, phases,
+                                                              u if overwrite_x else None)
     c = 1j * dt / (2.0 * alpha)
     solve = shifted_solver(grid, 1.0 + c * beta, c * gamma)
 
@@ -554,9 +552,10 @@ def read_snapshot_raw(path, return_trailer: bool = False):
             l, nbytes = h["l"], 16 * h["l"] * grid.size
             if l < 1:
                 raise ValueError(f"bad field l={l}: need at least one component")
+            left = os.fstat(fh.fileno()).st_size - fh.tell()
+            if left < nbytes:  # checked before reading: a header may claim any size
+                raise ValueError(f"payload has {left} bytes, expected {nbytes}")
             payload = fh.read(nbytes)
-            if len(payload) != nbytes:
-                raise ValueError(f"payload has {len(payload)} bytes, expected {nbytes}")
             trailer = fh.read().decode("ascii") if return_trailer else ""
         except ValueError as exc:  # UnicodeDecodeError included
             raise ValueError(f"{path}: {exc}") from None

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import functionals, grids
-from .grids import FieldState, GridSpec
+from .grids import FieldState, GridSpec, spectral_shift
 from .nonlinearity import ModelSpec, model_lines, parse_fields, parse_model_lines
 
 
@@ -399,14 +399,6 @@ def _best_phase(sigma: np.ndarray, c: np.ndarray, period: float) -> float:
     delta = _vertex_offset(g[j - 1], g[j], g[(j + 1) % g.size])
     theta = thetas[j] + delta * (thetas[1] - thetas[0])
     return float(np.real(np.exp(-1j * sigma * theta) @ c))
-
-
-def spectral_shift(grid: GridSpec, values: np.ndarray, y: float) -> np.ndarray:
-    """Periodic translation by y on a Cartesian n=1 grid (band-limited exact)."""
-    if grid.kind != grids.CARTESIAN or grid.n != 1:
-        raise ValueError("spectral translation is a 1-d Cartesian operation")
-    k = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)
-    return np.fft.ifft(np.fft.fft(values, axis=-1) * np.exp(-1j * k * y), axis=-1)
 
 
 def modulated_distance(state: FieldState, reference: FieldState,

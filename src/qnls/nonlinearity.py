@@ -185,7 +185,8 @@ def derive_fk(l: int, terms) -> list[list[Term]]:
 
 @dataclass(frozen=True)
 class CoefficientSet:
-    """Linear coefficients of the system; alpha_k, gamma_k > 0 and beta_k >= 0."""
+    """Linear coefficients of the system; alpha_k, gamma_k > 0 and beta_k >= 0,
+    all finite."""
 
     alpha: np.ndarray
     gamma: np.ndarray
@@ -204,6 +205,9 @@ class CoefficientSet:
         if np.any(beta < 0):
             raise ValueError("beta_k must be non-negative")
         for name, arr in (("alpha", alpha), ("gamma", gamma), ("beta", beta)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"bad field {name}={','.join(map(repr, arr.tolist()))}: "
+                                 "coefficients must be finite")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -242,7 +246,7 @@ class ModelSpec:
     from it are compiled once, here.
 
     Each term must have l integral exponents on each side, none negative,
-    total degree 3 and a non-zero coefficient; a term that has not raises
+    total degree 3 and a finite non-zero coefficient; a term that has not raises
     ValueError naming it as a model-file term line.  Terms are stored with
     a complex coefficient and int exponents.
     """
@@ -269,6 +273,8 @@ class ModelSpec:
                 why = "potential monomials must have total degree 3"
             elif t.coeff == 0:
                 why = "zero terms are dropped, not stored"
+            elif not np.isfinite(t.coeff):
+                why = "coefficients must be finite"
             else:
                 terms.append(Term(t.coeff, tuple(map(int, t.powers)),
                                   tuple(map(int, t.conj_powers))))

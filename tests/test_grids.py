@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from qnls import grids
 from qnls.grids import (FieldState, GridSpec, apply_laplacian, boundary_mass_fraction,
                         grad_sq_integral, integrate, norm_sq, propagator,
                         quadrature_weights, radial_laplacian_banded, radius_sq,
-                        read_snapshot, read_snapshot_raw, shifted_solver,
+                        read_snapshot, read_snapshot_raw, shifted_solver, spectral_shift,
                         symmetric_decreasing_rearrangement, weighted_density,
                         write_snapshot)
 from qnls.nonlinearity import builtin_model
@@ -31,6 +32,9 @@ class TestGridSpec:
             GridSpec("radial", 3, 4, 10.0)
         with pytest.raises(ValueError):
             GridSpec("radial", 3, 64, -1.0)
+        for extent in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="extent must be positive and finite"):
+                GridSpec("cartesian", 1, 64, extent)
 
     def test_axis_and_spacing(self):
         g = GridSpec("cartesian", 1, 8, 4.0)
@@ -429,6 +433,7 @@ def _numpy_spectral_reference(g):
             np.stack([np.exp(1j * dt / ak * (-ck * ksq - bk)) for ak, bk, ck in zip(a, b, c)])
             * np.fft.fftn(u, axes=axes), axes=axes),
         "grad_sq": lambda u: g.h**g.n / g.N**g.n * np.sum(ksq * np.abs(np.fft.fftn(u))**2),
+        "shift": lambda y, u: np.fft.ifft(np.fft.fft(u, axis=-1) * np.exp(-1j * k1 * y), axis=-1),
     }
 
 
@@ -469,6 +474,16 @@ class TestSpectralOperatorsMatchNumpy:
         work = u.copy()
         assert step(work, overwrite_x=True) is work and np.array_equal(work, step(u))
         self._close(grad_sq_integral(g, u[0]), ref["grad_sq"](u[0]))
+        # a single real field takes the stack's path, byte for byte
+        single = apply_laplacian(g, f[0])
+        self._close(single, ref["lap_real"](f[0]))
+        assert single.tobytes() == lap[0].tobytes()
+        if n == 1:
+            self._close(spectral_shift(g, u, 0.7), ref["shift"](0.7, u))
+            self._close(spectral_shift(g, f, -0.3), ref["shift"](-0.3, f))
+        else:
+            with pytest.raises(ValueError, match="1-d Cartesian"):
+                spectral_shift(g, u, 0.7)
         assert f.tobytes() == keep_f and u.tobytes() == keep_u
 
 
@@ -508,8 +523,8 @@ class TestCallerOwnedBuffers:
         assert rhs.tobytes() == keep
 
     def test_cartesian_solver_workspace_does_not_leak_between_calls(self):
-        # the solver's own spectrum workspace is reused: an earlier result
-        # stays intact and a repeated call gives the same bytes
+        # an earlier result stays intact and a repeated call gives the same
+        # bytes
         g = GridSpec("cartesian", 2, 32, 3.0)
         rng = np.random.default_rng(7)
         a, b = rng.normal(size=(2, 2) + g.shape)
@@ -519,6 +534,31 @@ class TestCallerOwnedBuffers:
         second = solve(b)
         assert first.tobytes() == keep and not np.shares_memory(first, second)
         assert solve(a).tobytes() == keep
+
+    @pytest.mark.parametrize("n,N", [(2, 128), (3, 32)])
+    def test_cartesian_solver_holds_only_its_multipliers(self, n, N):
+        # a built solver keeps one real multiplier per component, and a solve
+        # into a caller's buffer allocates one complex half spectrum, not one
+        # per field of the stack
+        g = GridSpec("cartesian", n, N, 3.0)
+        half = grids._cartesian_half_ksq(g)  # cached before measuring
+        f = np.random.default_rng(N).normal(size=(3,) + g.shape)
+        buf = np.empty_like(f)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solve = shifted_solver(g, np.array([1.5, 0.5, 2.0]), np.array([1.0, 2.0, 0.5]))
+            held = tracemalloc.get_traced_memory()[0] - before
+            solve(f, out=buf)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            solve(f, out=buf)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        slack = 4096  # bytes of Python objects
+        assert held <= 3 * half.nbytes + slack
+        assert peak <= 2 * half.nbytes + slack
 
     def test_lapack_module_is_cached_and_picks_d_or_z_routines(self, monkeypatch):
         flapack = grids._lapack()
@@ -620,8 +660,12 @@ class TestSnapshots:
         (GOOD.replace(b"N=8", b"N=4"), "N=4"),
         (GOOD.replace(b"\n", b" pad=" + b"x" * 1024 + b"\n"), "header longer"),
         (GOOD + b"\0" * 13, "payload"),
+        # sizes far beyond the file are refused before any read
+        (GOOD.replace(b"n=1 N=8", b"n=3 N=100000"), "payload"),
+        (GOOD.replace(b"l=1", b"l=%d" % 10**17), "payload"),
+        (GOOD.replace(b"extent=2.0", b"extent=inf"), "finite"),
     ], ids=["missing", "non-ascii", "bad-int", "no-equals", "no-components",
-            "bad-grid", "long-header", "short-payload"])
+            "bad-grid", "long-header", "short-payload", "huge-N", "huge-l", "inf-extent"])
     def test_malformed_header(self, tmp_path, data, field):
         path = tmp_path / "bad.qnls"
         path.write_bytes(data)

@@ -33,6 +33,11 @@ class TestMonomialInvariants:
         with pytest.raises(ValueError, match="zero terms"):
             model_of(Term(0.0, (2, 0), (1, 0)))
 
+    @pytest.mark.parametrize("coeff", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_coefficient_rejected(self, coeff):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            model_of(Term(coeff, (2, 0), (1, 0)))
+
     def test_negative_exponent_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             model_of(Term(1.0, (4, 0), (-1, 0)))
@@ -71,6 +76,16 @@ class TestCoefficients:
             CoefficientSet(alpha=np.array([1.0, -1.0]), gamma=np.ones(2), beta=np.zeros(2))
         with pytest.raises(ValueError):
             CoefficientSet(alpha=np.ones(2), gamma=np.ones(2), beta=np.array([0.0, -0.1]))
+
+    @pytest.mark.parametrize("name", ["alpha", "gamma", "beta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        # nan passes every comparison-based check, inf passes positivity
+        coeffs = {"alpha": np.ones(2), "gamma": np.ones(2), "beta": np.zeros(2)}
+        coeffs[name] = np.array([1.0, bad])
+        with pytest.raises(ValueError, match=f"^bad field {name}=1.0,{bad!r}: "
+                                             "coefficients must be finite$"):
+            CoefficientSet(**coeffs)
 
     def test_zero_components_rejected(self):
         with pytest.raises(ValueError, match="at least one component"):
@@ -486,6 +501,9 @@ class TestModelFiles:
         ("term=0.0,0.0;p=0,1;q=2,0", "term"),     # zero coefficient
         ("term=1.0,0.0;p=4,0;q=-1,0", "term"),    # negative exponent
         ("term=1.0,0.0;p=0,1,0;q=2,0,0", "term"), # three exponents for l=2
+        ("term=nan,0;p=0,1;q=2,0", "term"),       # non-finite coefficient
+        ("alpha=nan,1", "alpha"),                 # non-finite linear coefficient
+        ("beta=0,inf", "beta"),
     ])
     def test_malformed_file_names_file_and_field(self, tmp_path, line, field):
         path = tmp_path / "model.txt"
