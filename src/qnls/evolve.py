@@ -272,7 +272,9 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     steps = rejected = clean_steps = 0
     eps_end = 1e-12 * max(1.0, abs(t_end))
     while t < t_end - eps_end:
-        dt_eff = min(dt, t_end - t)
+        # a last step within eps_end of dt is taken at dt, so a rounding-short
+        # t_end - t builds no second propagator, and t lands on t_end
+        dt_eff = dt if t_end - t > dt - eps_end else t_end - t
         new = stepper.step(x, dt_eff, owed)
         if config.adaptive:
             while True:
@@ -300,7 +302,8 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
                 status, t_detect, monitor = ABORTED, t, "nonfinite"
                 break
         x, owed, synced = new, 0.5 * dt_eff, None
-        t, steps = t + dt_eff, steps + 1
+        t = t_end if abs(t_end - t - dt_eff) <= eps_end else t + dt_eff
+        steps += 1
         sample = steps % config.sample_every == 0 or t >= t_end - eps_end
         if sample:
             # FieldState copies its components: the substep's own array is

@@ -67,11 +67,15 @@ def action(state: FieldState, omega: float) -> float:
 
 
 def weinstein_quotient(state: FieldState, omega: float) -> float:
-    P = interaction(state)
+    return weinstein_quotient_of(kinetic(state), weighted_mass(state, omega),
+                                 interaction(state), state.grid.n)
+
+
+def weinstein_quotient_of(K: float, Qcal: float, P: float, n: int) -> float:
+    """J = Qcal^(3/2 - n/4) K^(n/4) / P from functionals already in hand."""
     if P == 0.0:
         raise ValueError("Weinstein quotient is undefined at P = 0")
-    n = state.grid.n
-    return weighted_mass(state, omega) ** (1.5 - n / 4.0) * kinetic(state) ** (n / 4.0) / P
+    return Qcal ** (1.5 - n / 4.0) * K ** (n / 4.0) / P
 
 
 def weinstein_infimum(qcal_gs: float, n: int) -> float:

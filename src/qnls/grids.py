@@ -21,9 +21,9 @@ profiles this grid is meant for; callers pick R_max so the tail is below
 rounding relative to the peak.
 
 The operator -gamma_k Lap + b_k of every solver, stepper and residual is
-discretized here only: :func:`apply_laplacian` (on radial grids the product
-with the bands of :func:`radial_laplacian_banded`, the one place the radial
-stencil is written), :func:`shifted_apply` and its inverse
+discretized here only: :func:`apply_laplacian` (on radial grids the flux
+form of the stencil in :func:`radial_laplacian_banded`'s docstring, whose
+bands are factored), :func:`shifted_apply` and its inverse
 :func:`shifted_solver`, the linear substep :func:`propagator`, and the
 kinetic functional :func:`weighted_grad_sq`.  The variance rate
 :func:`qnls.functionals.variance_rate` applies :func:`apply_laplacian` too,
@@ -231,9 +231,9 @@ def radial_laplacian_banded(grid: GridSpec) -> np.ndarray:
 
     Row 0 holds the superdiagonal a[i-1, i] at column i, row 1 the diagonal
     and row 2 the subdiagonal a[i+1, i] at column i (the LAPACK band
-    layout).  It is the one place the radial stencil is written:
-    :func:`apply_laplacian` multiplies by these bands and
-    :func:`shifted_solver` factors them.  With the faces S of
+    layout).  :func:`shifted_solver` factors these bands;
+    :func:`apply_laplacian` evaluates the same formula in flux form.  With
+    the faces S of
     :func:`_radial_faces`, S_{-1/2} = 0 and u_N = 0, (Lap_h u)_i =
     [S_{i+1/2} (u_{i+1} - u_i) - S_{i-1/2} (u_i - u_{i-1})] / (h w_i), so W Lap_h
     is symmetric (summation by parts; Mattsson & Nordstrom 2004).
@@ -256,7 +256,8 @@ def shifted_solver(grid: GridSpec, shift, scale):
 
     Cartesian grids multiply the half spectrum of a real right-hand side by
     the reciprocal of shift_k + scale_k |xi|^2, formed once here and the
-    solver's only memory (real coefficients; the result is real).  Radial
+    solver's only memory (real coefficients; the result is real; a complex
+    right-hand side raises ValueError before any transform).  Radial
     grids factor the l tridiagonal matrices once, here, as one
     block-tridiagonal matrix of size l N with zero sub- and superdiagonals at
     the block seams (LAPACK's LU with partial pivoting, dgttrf on float64
@@ -269,7 +270,13 @@ def shifted_solver(grid: GridSpec, shift, scale):
         ksq = _cartesian_half_ksq(grid)
         # multiplying is about 3x faster than dividing
         recip = 1.0 / np.stack([c * ksq + s for s, c in zip(shift, scale)])
-        return lambda rhs, out=None: _fourier_multiply(grid, rhs, recip, out)
+
+        def solve_cartesian(rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+            if np.iscomplexobj(rhs):
+                raise ValueError("the Cartesian resolvent takes real fields")
+            return _fourier_multiply(grid, rhs, recip, out)
+
+        return solve_cartesian
     ab = radial_laplacian_banded(grid)
     shift, scale = np.asarray(shift)[:, None], np.asarray(scale)[:, None]
     sub = -scale * np.concatenate([ab[2, :-1], [0.0]])
@@ -297,14 +304,19 @@ def apply_laplacian(grid: GridSpec, values: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Discrete Laplacian of one field or a stack (leading axes free); real in,
     real out; into out (the shape of values, not overlapping it) when given.
-    Cartesian grids multiply by -|xi|^2."""
+    Cartesian grids multiply by -|xi|^2; radial grids difference the face
+    fluxes of :func:`radial_laplacian_banded`'s formula, which its bands
+    equal to rounding."""
     if grid.kind == CARTESIAN:
         ksq = _cartesian_ksq(grid) if np.iscomplexobj(values) else _cartesian_half_ksq(grid)
         return _fourier_multiply(grid, values, -ksq, out)
-    ab = radial_laplacian_banded(grid)
-    lap = np.multiply(ab[1], values, out=out)
-    lap[..., :-1] += ab[0, 1:] * values[..., 1:]
-    lap[..., 1:] += ab[2, :-1] * values[..., :-1]
+    flux = np.multiply(values, -1.0)  # S_{i+1/2} (u_{i+1} - u_i), u_N = 0
+    flux[..., :-1] += values[..., 1:]
+    flux *= _radial_faces(grid)
+    lap = np.empty_like(flux) if out is None else out
+    lap[..., 0] = flux[..., 0]
+    np.subtract(flux[..., 1:], flux[..., :-1], out=lap[..., 1:])
+    lap /= grid.h * quadrature_weights(grid)
     return lap
 
 

@@ -270,6 +270,23 @@ class TestMergedSteps:
         assert sparse.diagnostics.column("t")[-1] == dense.diagnostics.column("t")[-1]
         assert np.array_equal(dense.final.components, sparse.final.components)
 
+    def test_rounding_short_last_step_reuses_the_propagator(self, gs_shg3_cart, monkeypatch):
+        # 300 steps of 1e-3 leave t_end - t = 0.0009999999999997788 before
+        # the last: that step is taken at dt, and t lands on t_end
+        from qnls import grids
+        built, propagator = [], grids.propagator
+
+        def spy(grid, dt, *args):
+            built.append(dt)
+            return propagator(grid, dt, *args)
+
+        monkeypatch.setattr(grids, "propagator", spy)
+        out = run_with_monitors(gs_shg3_cart.state,
+                                EvolveConfig(dt=1e-3, t_end=0.3, sample_every=10**9),
+                                with_variance=False)
+        assert built == [1e-3]
+        assert (out.steps, out.final.t) == (300, 0.3)
+
 
 class TestStandingWave:
     def test_solver_residual_is_profile_residual(self, gs_shg3_cart):
