@@ -20,10 +20,12 @@ The package splits into five layers:
 
 import os as _os
 
-# honored at BLAS load time, so it must run before numpy comes in
-if _os.environ.get("QNLS_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["QNLS_THREADS"])
+# honored at BLAS load time, so it must run before numpy comes in.  Unset,
+# QNLS_THREADS means one thread: a BLAS pool of its own can stall the small
+# pairings of the solvers for milliseconds a call.  A pool variable the user
+# set wins either way.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    _os.environ.setdefault(_var, _os.environ.get("QNLS_THREADS") or "1")
 
 from .nonlinearity import (CoefficientSet, HypothesisReport, ModelSpec, Term, builtin_model,
                            check_supermodularity, derive_fk, read_model_file, validate_model,

@@ -13,13 +13,18 @@ Scenarios (subcommands) and what they measure:
 
 Configuration is a flat ``key = value`` text file with ``[model] [grid]
 [evolve] [groundstate] [output]`` sections; a key that no ``Settings`` field
-declares is an error, and command-line flags override file values.  Every
-scenario writes ``report.txt`` (human-readable) and ``report.json`` (one
-record per criterion: name, measured, expected, tolerance, pass) into the
-output directory and exits 0 iff all criteria pass.  Scenarios that run a monitored evolution also record its outcome
-under ``"run"``: status, the monitor that fired, accepted and rejected
-steps, the final and the smallest dt and the detection time.
-``QNLS_THREADS`` caps the linear-algebra thread pools.
+declares is an error, and command-line flags override file values.  ``main``
+makes the report a scenario fills, writes ``report.txt`` (human-readable) and
+``report.json`` (one record per criterion: name, measured, expected,
+tolerance, pass) into the output directory and exits 0 iff all criteria
+pass.  A monitored evolution is recorded under ``"run"``: status, the monitor
+that fired, accepted and rejected steps, the final and the smallest dt and
+the detection time.  A profile solve (groundstate; threshold, blowup and
+stability unless read from ``--archive``) is recorded under ``"solve"``:
+iterations, restarts, residual and accepted_on.  A dimension outside a
+scenario's range, or threshold with beta != 0, is refused before any solve:
+one line on stderr, exit status 1.  ``QNLS_THREADS`` caps the linear-algebra
+thread pools; unset, they run one thread.
 """
 
 from __future__ import annotations
@@ -83,14 +88,12 @@ class ExperimentReport:
 
     def lines(self) -> list[str]:
         out = [f"scenario: {self.scenario}", ""]
-        out += [f"  {k} = {v}" for k, v in sorted(self.settings.items())]
-        out.append("")
+        out += [f"  {k} = {v}" for k, v in sorted(self.settings.items())] + [""]
         for c in self.criteria:
             mark = "PASS" if c.passed else "FAIL"
             out.append(f"[{mark}] {c.name}: measured={c.measured!r} "
                        f"expected={c.expected!r} tol={c.tolerance!r} {c.provenance}")
-        out.append("")
-        out.append("RESULT: " + ("PASS" if self.passed else "FAIL"))
+        out += ["", "RESULT: " + ("PASS" if self.passed else "FAIL")]
         return out
 
     def write(self, outdir: Path) -> None:
@@ -100,10 +103,8 @@ class ExperimentReport:
                    "settings": {k: repr(v) for k, v in self.settings.items()},
                    "criteria": [c.as_json() for c in self.criteria],
                    "artifacts": self.artifacts}
-        if self.run is not None:
-            payload["run"] = self.run
-        if self.solve is not None:
-            payload["solve"] = self.solve
+        payload.update({k: v for k, v in (("run", self.run), ("solve", self.solve))
+                        if v is not None})
         (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -221,21 +222,51 @@ def _require_dim(n: int, dims: tuple[int, ...], scenario: str) -> None:
         raise SystemExit(f"{scenario} scenarios are defined for dim {', '.join(head)} and {last}")
 
 
-def _load_or_solve_groundstate(st: Settings, dims: tuple[int, ...]):
-    """The archived profile if st.archive exists, else a fresh solve; a
-    dimension outside dims is refused before any solve."""
+def _artifact(st: Settings, rep: ExperimentReport, name: str) -> Path:
+    """The path of artifact name in the output directory (made), recorded in rep."""
+    path = Path(st.out) / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    rep.artifacts.append(str(path))
+    return path
+
+
+def _solve(rep: ExperimentReport, model, omega: float, grid: GridSpec):
+    """petviashvili_solve, its convergence record kept as rep.solve."""
+    gs = petviashvili_solve(model, omega, grid)
+    rep.solve = {"iterations": gs.iterations, "restarts": gs.restarts,
+                 "residual": gs.residual, "accepted_on": gs.accepted_on}
+    return gs
+
+
+def _load_or_solve_groundstate(st: Settings, rep: ExperimentReport, dims: tuple[int, ...],
+                               beta_zero: bool = False):
+    """The archived profile if st.archive exists, else a fresh solve; a dimension
+    outside dims, or with beta_zero a beta != 0, is refused before any solve."""
+    gs = None
     if st.archive and Path(st.archive).exists():
         gs = read_groundstate_archive(st.archive)
-        _require_dim(gs.grid.n, dims, st.scenario)
-        return gs
-    _require_dim(st.dim, dims, st.scenario)
-    return petviashvili_solve(st.resolve_model(), st.omega, st.resolve_grid())
+    _require_dim(st.dim if gs is None else gs.grid.n, dims, st.scenario)
+    model = st.resolve_model() if gs is None else gs.model
+    if beta_zero and np.any(model.coeffs.beta):
+        raise SystemExit(f"{st.scenario} scenarios are defined for beta = 0")
+    return _solve(rep, model, st.omega, st.resolve_grid()) if gs is None else gs
 
 
-def _gaussian_state(model, grid, amplitudes) -> FieldState:
-    rsq = grids.radius_sq(grid)
-    comps = np.stack([a * np.exp(-rsq) for a in amplitudes]).astype(complex)
-    return FieldState(model, grid, comps, 0.0)
+def _run(rep: ExperimentReport, state: FieldState, cfg: EvolveConfig,
+         with_variance: bool = True):
+    """run_with_monitors, its outcome recorded as rep.run."""
+    out = run_with_monitors(state, cfg, with_variance=with_variance)
+    rep.run = out.as_json()
+    return out
+
+
+def _gaussian_run(st: Settings, rep: ExperimentReport):
+    """evolve's and virial's fixed-dt run from u_k = exp(-|x|^2)/(1+k): (state, outcome)."""
+    model, grid = st.resolve_model(), st.resolve_grid()
+    comps = [a * np.exp(-grids.radius_sq(grid)) for a in 1.0 / (1.0 + np.arange(model.l))]
+    state = FieldState(model, grid, np.stack(comps).astype(complex), 0.0)
+    cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
+    return state, _run(rep, state, cfg)
 
 
 def _collapse_config(st: Settings) -> EvolveConfig:
@@ -249,28 +280,21 @@ def _collapse_config(st: Settings) -> EvolveConfig:
 
 
 # ---------------------------------------------------------------------------
-# scenarios
+# scenarios: each fills the report that main makes and writes
 
 
-def cmd_validate(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("validate", settings=st.as_dict())
+def cmd_validate(st: Settings, rep: ExperimentReport) -> None:
     model = st.resolve_model()
     hyp = validate_model(model, seed=st.seed)
     for name, result in hyp.checks.items():
         rep.criteria.append(Criterion(f"{model.name}:{name}", float(result.deviation), 0.0,
                                       float(hyp.tol), result.passed,
                                       result.detail or "hypothesis check"))
-    return rep
 
 
-def cmd_groundstate(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("groundstate", settings=st.as_dict())
-    model = st.resolve_model()
-    grid = st.resolve_grid()
-    result = petviashvili_solve(model, st.omega, grid)
-    rep.solve = {"iterations": result.iterations, "restarts": result.restarts,
-                 "residual": result.residual, "accepted_on": result.accepted_on}
-    n = grid.n
+def cmd_groundstate(st: Settings, rep: ExperimentReport) -> None:
+    result = _solve(rep, st.resolve_model(), st.omega, st.resolve_grid())
+    n = result.grid.n
     rep.check("residual", result.residual, 0.0, 1e-8, compare="le",
               provenance="stationary-system sup-norm residual")
     for name, dev in zip(("P-2I", "K-nI", "Qcal-(6-n)I"), result.pohozaev_dev):
@@ -281,54 +305,30 @@ def cmd_groundstate(st: Settings) -> ExperimentReport:
               compare="le", provenance="closed form from Qcal")
     cop = fn.sharp_constant(result.Qcal, n)
     rep.check("C_op * xi1", cop * xi1, 1.0, 1e-12, provenance="reciprocal by construction")
-    outdir = Path(st.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    archive = outdir / "groundstate.qnls"
-    write_groundstate_archive(result, archive)
-    rep.artifacts.append(str(archive))
-    return rep
+    write_groundstate_archive(result, _artifact(st, rep, "groundstate.qnls"))
 
 
-def cmd_evolve(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("evolve", settings=st.as_dict())
-    model = st.resolve_model()
-    grid = st.resolve_grid()
-    state = _gaussian_state(model, grid, 1.0 / (1.0 + np.arange(model.l)))
-    cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
-    out = run_with_monitors(state, cfg)
-    rep.run = out.as_json()
+def cmd_evolve(st: Settings, rep: ExperimentReport) -> None:
+    _, out = _gaussian_run(st, rep)
     rep.check("status completed", float(out.status == "completed"), 1.0, 0.0)
     rep.check("charge drift", out.diagnostics.max_relative_drift("Q"), 0.0, 1e-8,
               compare="le", provenance="relative, over the run")
     rep.check("energy drift", out.diagnostics.max_relative_drift("E"), 0.0, 1e-6,
               compare="le", provenance="relative, over the run")
-    outdir = Path(st.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    csv = outdir / "diagnostics.csv"
-    fn.write_diagnostics_csv(list(out.diagnostics), csv)
-    rep.artifacts.append(str(csv))
-    return rep
+    fn.write_diagnostics_csv(list(out.diagnostics), _artifact(st, rep, "diagnostics.csv"))
 
 
-def cmd_virial(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("virial", settings=st.as_dict())
-    model = st.resolve_model()
-    grid = st.resolve_grid()
-    state = _gaussian_state(model, grid, 1.0 / (1.0 + np.arange(model.l)))
+def cmd_virial(st: Settings, rep: ExperimentReport) -> None:
+    state, out = _gaussian_run(st, rep)
     E0 = fn.energy(state)
-    cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
-    out = run_with_monitors(state, cfg)
-    rep.run = out.as_json()
     rep.check("variance-identity deviation", virial_check(out, E0), 0.0, 1e-3,
               compare="le", provenance="second difference of V vs 2nE0-2nL+2(4-n)K")
     forms_gap = abs(fn.virial_rhs(state, E0) - fn.virial_rhs_gradient_form(state))
     rep.check("rhs forms agree", forms_gap / max(abs(E0), 1.0), 0.0, 1e-12, compare="le")
-    return rep
 
 
-def cmd_threshold(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("threshold", settings=st.as_dict())
-    gs = _load_or_solve_groundstate(st, (4, 5))
+def cmd_threshold(st: Settings, rep: ExperimentReport) -> None:
+    gs = _load_or_solve_groundstate(st, rep, (4, 5), beta_zero=True)
     c = st.amplitude
     data = FieldState(gs.model, gs.grid, c * gs.profile.astype(complex), 0.0)
     report = fn.threshold_report(data, gs.state)
@@ -338,19 +338,14 @@ def cmd_threshold(st: Settings) -> ExperimentReport:
                   provenance="closed form via the structural identities")
         rep.check("QK product ratio", report.QK / report.QK_gs, c**4, 1e-2,
                   provenance="closed form via the structural identities")
-        expected = "global" if c < 1 else "blowup"
-    else:
-        expected = "global" if c < 1 else "indeterminate"
+    expected = "global" if c < 1 else "blowup" if gs.grid.n == 5 else "indeterminate"
     rep.check(f"classification is {expected}",
               float(report.classification == expected), 1.0, 0.0)
-    return rep
 
 
-def cmd_blowup(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("blowup", settings=st.as_dict())
-    gs = _load_or_solve_groundstate(st, (4, 5))
-    n = gs.grid.n
-    if n == 4:
+def cmd_blowup(st: Settings, rep: ExperimentReport) -> None:
+    gs = _load_or_solve_groundstate(st, rep, (4, 5))
+    if gs.grid.n == 4:
         T = st.T
         samples = [0.0, 0.25 * T, 0.5 * T, 0.75 * T, 0.9 * T]
         states = [pseudo_conformal_with_rate(gs.state, T, t)[0] for t in samples]
@@ -362,8 +357,8 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
                   0.0, 1e-6, compare="le")
         res = {}
         for N in (gs.grid.N // 2, gs.grid.N):
-            gsN = petviashvili_solve(gs.model, st.omega,
-                                     GridSpec(gs.grid.kind, 4, N, gs.grid.extent))
+            gsN = gs if (N, st.omega) == (gs.grid.N, gs.omega) else petviashvili_solve(
+                gs.model, st.omega, GridSpec(gs.grid.kind, 4, N, gs.grid.extent))
             state, rate = pseudo_conformal_with_rate(gsN.state, T, 0.5 * T)
             res[N] = float(np.max(pde_residual(state, rate)))
         rep.check("closed-form residual refinement order",
@@ -371,8 +366,7 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
                   provenance="log2 of the residual ratio under N doubling")
     else:
         data = FieldState(gs.model, gs.grid, st.amplitude * gs.profile.astype(complex), 0.0)
-        out = run_with_monitors(data, _collapse_config(st), with_variance=False)
-        rep.run = out.as_json()
+        out = _run(rep, data, _collapse_config(st), with_variance=False)
         expected_status = "blown_up" if st.amplitude > 1 else "completed"
         rep.check(f"run status {expected_status}",
                   float(out.status == expected_status), 1.0, 0.0)
@@ -380,12 +374,10 @@ def cmd_blowup(st: Settings) -> ExperimentReport:
             Ks = out.diagnostics.column("K")
             rep.check("kinetic stays below 2 K(0)", float(np.max(Ks) / Ks[0]), 0.0, 2.0,
                       compare="le")
-    return rep
 
 
-def cmd_stability(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("stability", settings=st.as_dict())
-    gs = _load_or_solve_groundstate(st, (1, 2, 3, 4, 5))
+def cmd_stability(st: Settings, rep: ExperimentReport) -> None:
+    gs = _load_or_solve_groundstate(st, rep, (1, 2, 3, 4, 5))
     n = gs.grid.n
     if n <= 3:
         rng = np.random.default_rng(st.seed)
@@ -395,8 +387,7 @@ def cmd_stability(st: Settings) -> ExperimentReport:
         pert *= st.eps * gnorm / pnorm
         data = FieldState(gs.model, gs.grid, gs.profile + pert, 0.0)
         cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
-        out = run_with_monitors(data, cfg, with_variance=False)
-        rep.run = out.as_json()
+        out = _run(rep, data, cfg, with_variance=False)
         dist = modulated_distance(out.final, gs.state)
         rep.check("modulated distance stays small", dist, 0.0, 10 * st.eps, compare="le",
                   provenance="relative L2, modulo translation and coupled phase")
@@ -413,32 +404,26 @@ def cmd_stability(st: Settings) -> ExperimentReport:
             rep.check(f"amplified energy negative eps={eps}", measured, 0.0, 0.0,
                       compare="le")
     elif n == 5:
-        K = gs.K
         for lam in (st.lam, 2.0):
             dil = mass_preserving_dilation(gs.state, lam)
             measured = fn.virial_functional(dil)
-            predicted = lam**2 * (1 - np.sqrt(lam)) * K
+            predicted = lam**2 * (1 - np.sqrt(lam)) * gs.K
             rep.check(f"dilation functional lam={lam}",
                       abs(measured - predicted) / abs(predicted), 0.0, 1e-3, compare="le")
         rep.check("lambda_star of the profile", lambda_star(gs.state), 1.0, 1e-3)
         data = dilated_initializer(gs.state, st.lam)
-        out = run_with_monitors(data, _collapse_config(st), with_variance=False)
-        rep.run = out.as_json()
+        out = _run(rep, data, _collapse_config(st), with_variance=False)
         rep.check("dilated datum blows up", float(out.status == "blown_up"), 1.0, 0.0)
-    return rep
 
 
-def cmd_scaling_law(st: Settings) -> ExperimentReport:
-    rep = ExperimentReport("scaling-law", settings=st.as_dict())
+def cmd_scaling_law(st: Settings, rep: ExperimentReport) -> None:
     _require_dim(st.dim, (1, 2, 3), st.scenario)
-    model = st.resolve_model()
-    grid = st.resolve_grid()
-    n = grid.n
+    model, grid = st.resolve_model(), st.resolve_grid()
     nu = st.nu if st.nu is not None else 1.0
     r1 = constrained_minimize(model, nu, grid)
     r2 = constrained_minimize(model, 2 * nu, grid)
     rep.check("I_nu negative", r1.I_nu, 0.0, 0.0, compare="le")
-    exponent = (6.0 - n) / (4.0 - n)
+    exponent = (6.0 - grid.n) / (4.0 - grid.n)
     rep.check("I_(2nu)/I_nu", r2.I_nu / r1.I_nu, 2.0**exponent, 1e-2,
               provenance="charge-scaling power law")
     if st.archive and Path(st.archive).exists():
@@ -448,7 +433,6 @@ def cmd_scaling_law(st: Settings) -> ExperimentReport:
         rep.check("minimizer matches stationary profile", dist, 0.0, 1e-3, compare="le",
                   provenance="L2 modulo symmetries, at nu = Q(profile)")
         rep.check("recovered multiplier", rmu.lagrange_theta, -1.0, 1e-2)
-    return rep
 
 
 SCENARIOS = {
@@ -481,12 +465,13 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     st = build_settings(args)
-    report = SCENARIOS[st.scenario](st)
+    rep = ExperimentReport(st.scenario, settings=st.as_dict())
+    SCENARIOS[st.scenario](st, rep)
     outdir = Path(st.out)
-    report.write(outdir)
-    print("\n".join(report.lines()))
+    rep.write(outdir)
+    print("\n".join(rep.lines()))
     print(f"report written to {outdir}/report.txt and report.json")
-    return 0 if report.passed else 1
+    return 0 if rep.passed else 1
 
 
 if __name__ == "__main__":

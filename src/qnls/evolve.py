@@ -168,7 +168,6 @@ class Stepper:
         self.model = model
         self.grid = grid
         self._ia = (1j / model.coeffs.alpha)[:, None]
-        self._charge_weights = model.coeffs.charge_weights
         self._propagators: dict[float, object] = {}  # per dt, see grids.propagator
         self._stages = np.empty((3, model.l, min(RK4_BLOCK, grid.size)), dtype=complex)
 
@@ -181,16 +180,6 @@ class Stepper:
             step = self._propagators[dt] = grids.propagator(self.grid, dt, c.alpha, c.beta,
                                                             c.gamma)
         return step(comps, overwrite_x)
-
-    # -- adaptive monitors ---------------------------------------------------
-
-    def charge(self, comps: np.ndarray) -> float:
-        """functionals.charge of a component stack, without a FieldState."""
-        return grids.weighted_norm_sq(self.grid, self._charge_weights, comps)
-
-    def kinetic(self, comps: np.ndarray) -> float:
-        """functionals.kinetic of a component stack, without a FieldState."""
-        return grids.weighted_grad_sq(self.grid, self.model.coeffs.gamma, comps)
 
     # -- nonlinear substep ---------------------------------------------------
 
@@ -258,6 +247,8 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
     sample_every beyond the diagnostics kept.
     """
     stepper = Stepper(state.model, state.grid)
+    # the adaptive monitors: functionals.charge and .kinetic of the bare stack x
+    charge_weights, gamma = state.model.coeffs.charge_weights, state.model.coeffs.gamma
     # x is the state after the last linear substep, still owing the half step
     # N(owed); synced is the FieldState of N(owed) x, made only when needed
     x, synced = state.components, state
@@ -278,7 +269,7 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
         new = stepper.step(x, dt_eff, owed)
         if config.adaptive:
             while True:
-                q_new = stepper.charge(new)
+                q_new = grids.weighted_norm_sq(state.grid, charge_weights, new)
                 drift = abs(q_new - q_prev) / max(abs(q_prev), tiny)
                 if drift <= config.step_drift_tol or not math.isfinite(drift):
                     break
@@ -314,7 +305,7 @@ def run_with_monitors(state: FieldState, config: EvolveConfig,
         if config.adaptive:
             # blow-up is fast once started: watch the cheap monitors on x
             # every step, samples or not
-            Q, K, linf = q_new, stepper.kinetic(x), (amp,)
+            Q, K, linf = q_new, grids.weighted_grad_sq(state.grid, gamma, x), (amp,)
         elif sample:
             Q, K, linf = snap.Q, snap.K, snap.linf
         else:

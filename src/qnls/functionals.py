@@ -166,11 +166,14 @@ def threshold_report(state: FieldState, groundstate: FieldState) -> ThresholdRep
     blowup when the energy product is below but the gradient product is
     above.  Boundary cases (within the relative THRESHOLD_MARGIN) are
     indeterminate, matching the strict inequalities of the underlying
-    statements.
+    statements.  A ground state with beta != 0 raises ValueError: the
+    statements, and the energy Eg = Kg - 2 Pg below, are those of beta = 0.
     """
     n = state.grid.n
     if n not in (4, 5):
         raise ValueError("the dichotomy classifier applies to n = 4 and n = 5")
+    if np.any(groundstate.model.coeffs.beta):
+        raise ValueError("the dichotomy classifier applies to beta = 0 ground states")
     if groundstate.grid.n != n:
         raise ValueError("ground state and data live in different dimensions")
     Q0, K0 = charge(state), kinetic(state)

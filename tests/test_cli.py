@@ -10,7 +10,11 @@ import pytest
 import qnls
 from qnls import cli
 from qnls.cli import build_settings, main, make_parser, parse_config_file
-from qnls.nonlinearity import CoefficientSet, ModelSpec, Term, write_model_file
+from qnls.evolve import pde_residual, pseudo_conformal_with_rate
+from qnls.grids import GridSpec
+from qnls.groundstate import petviashvili_solve, write_groundstate_archive
+from qnls.nonlinearity import (CoefficientSet, ModelSpec, Term, builtin_model,
+                               write_model_file)
 
 
 def test_config_parsing(tmp_path):
@@ -177,6 +181,7 @@ def test_groundstate_archive_then_threshold(tmp_path):
     assert code == 0
     payload = json.loads((out2 / "report.json").read_text())
     assert payload["settings"]["classification"] == "'global'"
+    assert "solve" not in payload
 
     out3 = tmp_path / "thr2"
     code = main(["threshold", "--archive", str(archive), "--amplitude", "1.2",
@@ -184,6 +189,13 @@ def test_groundstate_archive_then_threshold(tmp_path):
     assert code == 0
     payload = json.loads((out3 / "report.json").read_text())
     assert payload["settings"]["classification"] == "'blowup'"
+
+    # a profile read from the archive is not solved, so no solve is recorded
+    for scenario in ("blowup", "stability"):
+        out4 = tmp_path / scenario
+        main([scenario, "--archive", str(archive), "--amplitude", "0.9", "--t-end", "0.01",
+              "--out", str(out4)])
+        assert "solve" not in json.loads((out4 / "report.json").read_text())
 
 
 @pytest.mark.parametrize("argv", [
@@ -202,14 +214,113 @@ def test_scenario_refuses_dimension_before_solving(tmp_path, monkeypatch, argv):
     assert not (tmp_path / "out").exists()
 
 
-def test_refusal_is_one_line_and_exit_1(tmp_path):
+def _python(args, env=None):
+    """A fresh interpreter on args that imports this checkout's qnls."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(qnls.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "qnls.cli", "threshold", "--dim", "3",
-                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
-                          timeout=60, env=dict(os.environ, PYTHONPATH=path))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          timeout=60, env=env)
+
+
+def test_refusal_is_one_line_and_exit_1(tmp_path):
+    proc = _python(["-m", "qnls.cli", "threshold", "--dim", "3",
+                    "--out", str(tmp_path / "out")])
     assert proc.returncode == 1
     assert proc.stderr == "threshold scenarios are defined for dim 4 and 5\n"
+
+
+BETA_REFUSAL = "threshold scenarios are defined for beta = 0"
+
+
+def test_threshold_refuses_beta_before_solving(tmp_path, monkeypatch):
+    # the dichotomy criterion is the beta = 0 statement
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before refusing")
+
+    monkeypatch.setattr(cli, "petviashvili_solve", no_solve)
+    with pytest.raises(SystemExit) as info:
+        main(["threshold", "--dim", "5", "--beta", "0.2,0.2,0.2",
+              "--out", str(tmp_path / "out")])
+    assert info.value.code == BETA_REFUSAL
+    assert not (tmp_path / "out").exists()
+
+
+def test_threshold_refuses_archived_beta_profile(tmp_path):
+    gs = petviashvili_solve(builtin_model("shg3", beta=0.2), 1.0,
+                            GridSpec("radial", 5, 256, 12.0))
+    write_groundstate_archive(gs, tmp_path / "gs.qnls")
+    with pytest.raises(SystemExit) as info:
+        main(["threshold", "--archive", str(tmp_path / "gs.qnls"),
+              "--out", str(tmp_path / "out")])
+    assert info.value.code == BETA_REFUSAL
+    assert not (tmp_path / "out").exists()
+
+
+def test_beta_refusal_is_one_line_and_exit_1(tmp_path):
+    proc = _python(["-m", "qnls.cli", "threshold", "--dim", "5", "--beta", "0.2,0.2,0.2",
+                    "--out", str(tmp_path / "out")])
+    assert proc.returncode == 1
+    assert proc.stderr == BETA_REFUSAL + "\n"
+
+
+POOL_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("env,expected", [
+    ({}, ["1", "1", "1"]),
+    ({"QNLS_THREADS": "2"}, ["2", "2", "2"]),
+    ({"OPENBLAS_NUM_THREADS": "3"}, ["1", "3", "1"])])
+def test_thread_pool_defaults(env, expected):
+    # the pools read these when numpy loads, so each case is a fresh process
+    clean = {k: v for k, v in os.environ.items() if k not in ("QNLS_THREADS", *POOL_VARS)}
+    proc = _python(["-c", f"import os, qnls; print(*(os.environ[v] for v in {POOL_VARS!r}))"],
+                   env=dict(clean, **env))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == expected
+
+
+def _counting_solves(monkeypatch) -> list:
+    """Patch cli.petviashvili_solve to keep every result it returns."""
+    solves, solve = [], cli.petviashvili_solve
+
+    def counted(*args, **kwargs):
+        solves.append(solve(*args, **kwargs))
+        return solves[-1]
+
+    monkeypatch.setattr(cli, "petviashvili_solve", counted)
+    return solves
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--dim", "5", "--points", "256", "--extent", "12"],
+    ["blowup", "--dim", "5", "--points", "256", "--extent", "12", "--amplitude", "0.9",
+     "--t-end", "0.01"],
+    ["stability", "--dim", "4", "--points", "256", "--extent", "16"]])
+def test_scenarios_record_their_profile_solve(tmp_path, monkeypatch, argv):
+    solves = _counting_solves(monkeypatch)
+    main(argv + ["--out", str(tmp_path)])
+    [gs] = solves
+    assert json.loads((tmp_path / "report.json").read_text())["solve"] == {
+        "iterations": gs.iterations, "restarts": gs.restarts, "residual": gs.residual,
+        "accepted_on": gs.accepted_on}
+
+
+def test_blowup_n4_solves_each_grid_once(tmp_path, monkeypatch):
+    # the profile solved at N is reused for the (N/2, N) refinement pair
+    solves = _counting_solves(monkeypatch)
+    out = tmp_path / "b4"
+    assert main(["blowup", "--dim", "4", "--points", "512", "--out", str(out)]) == 0
+    assert [gs.grid.N for gs in solves] == [512, 256]
+    payload = json.loads((out / "report.json").read_text())
+    measured = {c["name"]: c["measured"] for c in payload["criteria"]}
+    # the criterion as a fresh solve on each grid gives it
+    res = []
+    for N in (256, 512):
+        gs = petviashvili_solve(builtin_model("shg3"), 1.0, GridSpec("radial", 4, N, 20.0))
+        state, rate = pseudo_conformal_with_rate(gs.state, 1e-4, 0.5e-4)
+        res.append(float(np.max(pde_residual(state, rate))))
+    assert measured["closed-form residual refinement order"] == float(np.log2(res[0] / res[1]))
 
 
 def test_evolve_scenario(tmp_path):

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from qnls import evolve, grids
 from qnls import functionals as fn
 from qnls.evolve import (RK4_BLOCK, DiagnosticsSeries, EvolveConfig, Stepper, pde_residual,
                          pseudo_conformal_with_rate, run_with_monitors, standing_wave,
@@ -518,17 +521,34 @@ class TestStepMonitors:
     @pytest.mark.parametrize("kind,dim,points", [("radial", 1, 64), ("radial", 3, 100),
                                                  ("radial", 5, 257), ("cartesian", 1, 64),
                                                  ("cartesian", 2, 32)])
-    def test_lean_monitor_equals_functionals(self, name, kind, dim, points):
+    def test_lean_monitor_equals_functionals(self, name, kind, dim, points, monkeypatch):
         # the adaptive loop's per-step Q and K read the raw array; they must
         # be the functionals of the same state, bit for bit
         m = builtin_model(name, beta=0.5)
         g = GridSpec(kind, dim, points, 7.0)
         rng = np.random.default_rng(points + dim)
         shape = (m.l,) + g.shape
-        comps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        stepper, st = Stepper(m, g), FieldState(m, g, comps, 0.0)
-        assert stepper.charge(comps) == fn.charge(st)
-        assert stepper.kinetic(comps) == fn.kinetic(st)
+        comps = 0.1 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        seen = {"weighted_norm_sq": [], "weighted_grad_sq": []}
+
+        def spy(attr):
+            def call(grid, weights, values):
+                out = getattr(grids, attr)(grid, weights, values)
+                seen[attr].append((values.copy(), out))
+                return out
+            return call
+
+        # only evolve's own calls go through the spies, not the functionals'
+        monkeypatch.setattr(evolve, "grids",
+                            SimpleNamespace(**dict(vars(grids), **{k: spy(k) for k in seen})))
+        run_with_monitors(FieldState(m, g, comps, 0.0),
+                          EvolveConfig(dt=1e-3, t_end=3e-3, adaptive=True, step_drift_tol=1.0),
+                          with_variance=False)
+        assert [len(calls) for calls in seen.values()] == [3, 3]
+        for values, Q in seen["weighted_norm_sq"]:
+            assert Q == fn.charge(FieldState(m, g, values, 0.0))
+        for values, K in seen["weighted_grad_sq"]:
+            assert K == fn.kinetic(FieldState(m, g, values, 0.0))
 
     def test_smallest_dt_recorded(self):
         # every accepted step is sampled, so the smallest sample spacing is

@@ -270,6 +270,15 @@ class TestThreshold:
         rep = fn.threshold_report(gs5.state, gs5.state)
         assert rep.classification == fn.INDETERMINATE
 
+    def test_refuses_beta_ground_state(self, gs5):
+        # the statements, and the ground state's energy Kg - 2 Pg, are those
+        # of beta = 0
+        beta_gs = FieldState(builtin_model("shg3", beta=0.2), gs5.grid,
+                             gs5.profile.astype(complex), 0.0)
+        data = FieldState(beta_gs.model, gs5.grid, 0.9 * beta_gs.components, 0.0)
+        with pytest.raises(ValueError, match="beta = 0"):
+            fn.threshold_report(data, beta_gs)
+
     def test_dimension_guard(self, uv2, grid1):
         st = random_state(uv2, grid1)
         with pytest.raises(ValueError):

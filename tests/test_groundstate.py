@@ -170,8 +170,10 @@ class TestPetviashvili:
         # best iterate) and the resolvent its reciprocal and one field's half
         # spectrum (about 0.85 of a stack); its temporaries are one field of
         # the stack.  That reads 6.03 stacks above the solve's entry (10.57
-        # when each iteration made its iterate, fields and residual afresh);
-        # one more full-size temporary in an iteration would read about 7.
+        # when each iteration made its iterate, fields and residual afresh).
+        # One more stack-size temporary reads 6.52 when it is freed before the
+        # resolvent runs (psi + work, np.maximum(psi, 0) or eval_fk(psi)
+        # made afresh), 6.85 to 7.03 when it lives through the resolvent.
         import tracemalloc
         m, g = builtin_model("shg3"), GridSpec("cartesian", 2, 128, 12.0)
         stack = 8 * m.l * g.size
@@ -184,7 +186,7 @@ class TestPetviashvili:
         finally:
             tracemalloc.stop()
         assert result.iterations == 77
-        assert peak < 7.25 * stack
+        assert peak < 6.25 * stack
 
     def test_stabilization_factor_converged(self, gs_n3):
         # at the fixed point the stabilization factor is 1: re-apply one sweep
