@@ -21,7 +21,7 @@ pass.  A monitored evolution is recorded under ``"run"``: status, the monitor
 that fired, accepted and rejected steps, the final and the smallest dt and
 the detection time.  A profile solve (groundstate; threshold, blowup and
 stability unless read from ``--archive``) is recorded under ``"solve"``:
-iterations, restarts, residual and accepted_on.  A dimension outside a
+iterations, residual and accepted_on.  A dimension outside a
 scenario's range, or threshold with beta != 0, is refused before any solve:
 one line on stderr, exit status 1.  ``QNLS_THREADS`` caps the linear-algebra
 thread pools; unset, they run one thread.
@@ -71,7 +71,7 @@ class ExperimentReport:
     settings: dict = field(default_factory=dict)
     artifacts: list[str] = field(default_factory=list)
     run: dict | None = None  # EvolutionOutcome.as_json() of the scenario's monitored run
-    solve: dict | None = None  # iterations, restarts, residual and accepted_on of a profile solve
+    solve: dict | None = None  # iterations, residual and accepted_on of a profile solve
 
     def check(self, name, measured, expected, tolerance, provenance="",
               compare="abs") -> bool:
@@ -233,8 +233,8 @@ def _artifact(st: Settings, rep: ExperimentReport, name: str) -> Path:
 def _solve(rep: ExperimentReport, model, omega: float, grid: GridSpec):
     """petviashvili_solve, its convergence record kept as rep.solve."""
     gs = petviashvili_solve(model, omega, grid)
-    rep.solve = {"iterations": gs.iterations, "restarts": gs.restarts,
-                 "residual": gs.residual, "accepted_on": gs.accepted_on}
+    rep.solve = {"iterations": gs.iterations, "residual": gs.residual,
+                 "accepted_on": gs.accepted_on}
     return gs
 
 

@@ -29,11 +29,11 @@ the -1 mode by 0.6 and mu_2 by 1 - 0.8 (1 - mu_2), 0.73 at n = 2.
 
 Converged profiles are scored by the residual sup norm and by the three
 structural identities P = 2I, K = nI, Qcal = (6-n)I that every localized
-solution satisfies; their violation measures pure discretization error.  Every
-:class:`GroundStateResult` carries these relative deviations as
-``pohozaev_dev``, and the sharp quotient xi1 follows from its Qcal through
-:func:`qnls.functionals.weinstein_infimum`.  No n >= 6 case arises: grids
-stop at n = 5.
+solution satisfies; their violation measures pure discretization error.  A
+:class:`GroundStateResult` derives its functionals, and these relative
+deviations as ``pohozaev_dev``, from its profile; the sharp quotient xi1
+follows from its Qcal through :func:`qnls.functionals.weinstein_infimum`.
+No n >= 6 case arises: grids stop at n = 5.
 
 The same module hosts the charge-constrained energy minimization (gradient
 flow with renormalization), the dilation (n = 5) and amplification (n = 4)
@@ -43,7 +43,7 @@ distance used to compare field states to a profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -58,7 +58,7 @@ class ConvergenceError(RuntimeError):
 
 
 # Petviashvili iteration: stopping tolerance on the residual and on |S - 1|,
-# iteration budget per attempt, the mixing of the under-relaxed update, and
+# iteration budget, the mixing of the under-relaxed update, and
 # the iterations between direct applications of the carried left side
 PETVIASHVILI_TOL = 1e-10
 PETVIASHVILI_MAX_ITER = 5000
@@ -74,23 +74,40 @@ FLOW_MAX_ITER = 100000
 
 @dataclass(frozen=True)
 class GroundStateResult:
+    """A solved profile and its solve record.  K, Qcal, P, Q, I, J and
+    pohozaev_dev are derived from the profile on construction; a profile of
+    non-positive action raises ValueError."""
+
     model: ModelSpec
     grid: GridSpec
     omega: float
     profile: np.ndarray  # real, shape (l, *grid.shape), non-negative
     residual: float
     iterations: int
-    K: float
-    Qcal: float
-    P: float
-    Q: float
-    I: float
-    J: float
-    pohozaev_dev: tuple[float, float, float]
-    restarts: int = 0  # tilt restarts before the attempt that converged
     # the branch that accepted: "tolerance" (residual and |S - 1| below
     # PETVIASHVILI_TOL) or "floor" (machine-converged); None when unknown
     accepted_on: str | None = None
+    K: float = field(init=False)
+    Qcal: float = field(init=False)
+    P: float = field(init=False)
+    Q: float = field(init=False)
+    I: float = field(init=False)
+    J: float = field(init=False)
+    pohozaev_dev: tuple[float, float, float] = field(init=False)
+
+    def __post_init__(self):
+        state, n = self.state, self.grid.n
+        K = functionals.kinetic(state)
+        Qcal = functionals.weighted_mass(state, self.omega)
+        P = functionals.interaction(state)
+        I = 0.5 * (K + Qcal) - P
+        if I <= 0:
+            raise ValueError("non-positive action: not a localized solution")
+        J = functionals.weinstein_quotient_of(K, Qcal, P, n)
+        dev = (abs(P - 2.0 * I) / I, abs(K - n * I) / I, abs(Qcal - (6.0 - n) * I) / I)
+        for name, value in dict(K=K, Qcal=Qcal, P=P, Q=functionals.charge(state),
+                                I=I, J=J, pohozaev_dev=dev).items():
+            object.__setattr__(self, name, value)
 
     @property
     def state(self) -> FieldState:
@@ -114,22 +131,20 @@ def elliptic_residual(model: ModelSpec, grid: GridSpec, psi: np.ndarray, b: np.n
     return _sup_diff(lhs, model.eval_fk(psi), lhs)
 
 
-def _default_init(model: ModelSpec, grid: GridSpec, amplitudes) -> np.ndarray:
-    rsq = grids.radius_sq(grid)
-    base = np.exp(-rsq)
-    init = np.stack([a * base for a in amplitudes])
+def _default_init(model: ModelSpec, grid: GridSpec) -> np.ndarray:
+    """A unit Gaussian in every component, rearranged on radial and 1-d grids."""
+    base = np.exp(-grids.radius_sq(grid))
     if grid.kind == grids.RADIAL or grid.n == 1:
-        init = np.stack([grids.symmetric_decreasing_rearrangement(grid, c) for c in init])
-    return init
+        base = grids.symmetric_decreasing_rearrangement(grid, base)
+    return np.stack([base] * model.l)
 
 
-def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
-                       init: np.ndarray | None = None) -> GroundStateResult:
+def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec) -> GroundStateResult:
     """Stabilized fixed-point solve of the stationary system at frequency omega.
 
-    init defaults to per-component Gaussians, amplitude-tilted on restart;
-    the global amplitude is rescaled so the first stabilization factor is
-    exactly 1.  Iterates are clipped to the positive cone.  The update is
+    The iteration starts from per-component unit Gaussians, their global
+    amplitude rescaled so the first stabilization factor is exactly 1.
+    Iterates are clipped to the positive cone.  The update is
     mixed with weight PETVIASHVILI_DAMPING = 0.8 on the new iterate: the
     single global stabilization factor leaves the gauge mode (the relative
     amplitude between components) at eigenvalue -1 of the undamped map,
@@ -137,7 +152,7 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
     most of its speed (see the module docstring).  An iteration applies the
     resolvent once, refined once on radial grids; the left
     side is applied directly only on a schedule and near an accept, so the
-    returned residual is elliptic_residual of the profile.  Each attempt
+    returned residual is elliptic_residual of the profile.  The iteration
     stops once the residual and |S - 1| are below PETVIASHVILI_TOL, or on the
     roundoff floor (see _petviashvili_iterate); accepted_on names which.  Raises
     ConvergenceError on stagnation, after PETVIASHVILI_MAX_ITER iterations,
@@ -145,23 +160,9 @@ def petviashvili_solve(model: ModelSpec, omega: float, grid: GridSpec,
     """
     b = model.coeffs.b(omega)
     solve = grids.shifted_solver(grid, b, model.coeffs.gamma)
-
-    tilts = [np.ones(model.l),
-             1.0 + 0.5 * np.arange(model.l),
-             np.linspace(1.5, 0.5, model.l)]
-    last_exc: Exception | None = None
-    for attempt, tilt in enumerate(tilts):
-        psi = np.array(init, dtype=float) if init is not None and attempt == 0 \
-            else _default_init(model, grid, tilt)
-        if np.max(np.abs(psi)) == 0:
-            raise ValueError("initial guess must not vanish identically")
-        try:
-            psi, res, iterations, accepted_on = _petviashvili_iterate(model, grid, psi, b, solve)
-            return replace(_finalize(model, grid, omega, psi, res, iterations),
-                           restarts=attempt, accepted_on=accepted_on)
-        except ConvergenceError as exc:
-            last_exc = exc
-    raise ConvergenceError(f"fixed-point iteration failed after restarts: {last_exc}")
+    psi, res, iterations, accepted_on = _petviashvili_iterate(
+        model, grid, _default_init(model, grid), b, solve)
+    return GroundStateResult(model, grid, omega, psi, res, iterations, accepted_on)
 
 
 def _petviashvili_iterate(model, grid, psi, b, solve):
@@ -247,7 +248,7 @@ def _petviashvili_iterate(model, grid, psi, b, solve):
         # machine-converged: the residual sits on the roundoff floor and no
         # longer improves; the best iterate (kept once its residual is below
         # max(floor, 1e-6)) is returned with its direct residual, which the
-        # clip can leave above the carried one: then the attempt stalled
+        # clip can leave above the carried one: then the iteration stalled
         if since_best > 50 and abs(S - 1.0) < 1e-12 and kept:
             res = _sup_diff(lhs_of(best_psi, lhs), model.eval_fk(best_psi, out=fk), work)
             if res > max(floor, 1e-6):
@@ -255,26 +256,6 @@ def _petviashvili_iterate(model, grid, psi, b, solve):
             return best_psi, res, iteration, "floor"
     raise ConvergenceError(
         f"no convergence in {PETVIASHVILI_MAX_ITER} iterations (residual {res:.3e}, S-1 {S - 1:.3e})")
-
-
-def _finalize(model, grid, omega, psi, res, iterations) -> GroundStateResult:
-    state = FieldState(model, grid, psi, 0.0)
-    K = functionals.kinetic(state)
-    Qcal = functionals.weighted_mass(state, omega)
-    P = functionals.interaction(state)
-    Q = functionals.charge(state)
-    I = 0.5 * (K + Qcal) - P
-    J = functionals.weinstein_quotient_of(K, Qcal, P, grid.n)
-    dev = _pohozaev_deviations(K, Qcal, P, I, grid.n)
-    return GroundStateResult(model=model, grid=grid, omega=omega, profile=psi,
-                             residual=res, iterations=iterations, K=K, Qcal=Qcal,
-                             P=P, Q=Q, I=I, J=J, pohozaev_dev=dev)
-
-
-def _pohozaev_deviations(K, Qcal, P, I, n) -> tuple[float, float, float]:
-    if I <= 0:
-        raise ValueError("non-positive action: not a localized solution")
-    return (abs(P - 2.0 * I) / I, abs(K - n * I) / I, abs(Qcal - (6.0 - n) * I) / I)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +267,7 @@ class ConstrainedMinResult:
     nu: float
     minimizer: FieldState
     I_nu: float
-    lagrange_theta: float   # K - 3P = theta Q at the minimizer
-    lagrange_omega: float   # the frequency -theta of the recovered profile
+    lagrange_theta: float   # K - 3P = theta Q at the minimizer; -theta is its frequency
     residual: float         # Euler-Lagrange residual sup norm
     iterations: int
 
@@ -316,13 +296,13 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec) -> Constra
         return (grids.weighted_grad_sq(grid, model.coeffs.gamma, phi),
                 grids.integrate(grid, model.eval_F(phi)))
 
-    phi = _default_init(model, grid, np.ones(model.l))
+    phi = _default_init(model, grid)
     phi *= np.sqrt(nu / grids.weighted_norm_sq(grid, w_charge, phi))
     K, P = functionals_of(phi)
     E = K + grids.weighted_norm_sq(grid, model.coeffs.beta, phi) - 2 * P
 
-    solver_cache: dict[float, object] = {}
     tau = FLOW_TAU
+    solver = grids.shifted_solver(grid, 1.0 / tau + model.coeffs.beta, model.coeffs.gamma)
     iterations = 0
     residual = np.inf
     theta = (K - 3.0 * P) / nu
@@ -330,11 +310,6 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec) -> Constra
         iterations += 1
         f = model.eval_fk(phi).real
         # (-gamma Lap + beta + 1/tau) trial = phi/tau + f + theta w phi
-        solver = solver_cache.get(tau)
-        if solver is None:
-            solver = grids.shifted_solver(grid, 1.0 / tau + model.coeffs.beta,
-                                          model.coeffs.gamma)
-            solver_cache[tau] = solver
         trial = solver(phi / tau + f + theta * wc * phi)
         trial *= np.sqrt(nu / grids.weighted_norm_sq(grid, w_charge, trial))
         K, P = functionals_of(trial)
@@ -344,22 +319,20 @@ def constrained_minimize(model: ModelSpec, nu: float, grid: GridSpec) -> Constra
             tau *= 0.5
             if tau < 1e-5:
                 break
+            solver = grids.shifted_solver(grid, 1.0 / tau + model.coeffs.beta,
+                                          model.coeffs.gamma)
             continue
         phi, E = trial, E_new
         theta = (K - 3.0 * P) / nu
         if iterations % 20 == 0 or iterations < 10:
-            f = model.eval_fk(phi).real
-            el = (grids.shifted_apply(grid, model.coeffs.beta, model.coeffs.gamma, phi)
-                  - f - theta * wc * phi)
-            residual = float(np.max(np.abs(el)))
+            residual = elliptic_residual(model, grid, phi, model.coeffs.beta - theta * w_charge)
             if residual < FLOW_TOL:
                 break
     state = FieldState(model, grid, phi, 0.0)
     if residual > max(FLOW_TOL, 1e-6):
         raise ConvergenceError(
             f"constrained flow stalled: EL residual {residual:.3e} after {iterations} sweeps")
-    return ConstrainedMinResult(nu=nu, minimizer=state, I_nu=E,
-                                lagrange_theta=theta, lagrange_omega=-theta,
+    return ConstrainedMinResult(nu=nu, minimizer=state, I_nu=E, lagrange_theta=theta,
                                 residual=residual, iterations=iterations)
 
 
@@ -493,24 +466,11 @@ def peak_aligned_linf_error(state: FieldState, reference: FieldState) -> float:
 
 def write_groundstate_archive(result: GroundStateResult, path) -> None:
     grids.write_snapshot(result.state, path)
-    dev = ",".join(repr(float(d)) for d in result.pohozaev_dev)
-    lines = ["",
-             f"omega={result.omega!r}",
-             f"I={result.I!r}", f"K={result.K!r}", f"Qcal={result.Qcal!r}",
-             f"P={result.P!r}", f"Q={result.Q!r}", f"J={result.J!r}",
-             f"residual={result.residual!r}", f"iterations={result.iterations}",
-             f"restarts={result.restarts}", f"accepted_on={result.accepted_on or ''}",
-             f"pohozaev_dev={dev}",
+    lines = ["", f"omega={result.omega!r}", f"residual={result.residual!r}",
+             f"iterations={result.iterations}", f"accepted_on={result.accepted_on or ''}",
              "[model]"] + model_lines(result.model)
     with open(path, "ab") as fh:
         fh.write(("\n".join(lines) + "\n").encode("ascii"))
-
-
-def _deviations(text: str) -> tuple[float, float, float]:
-    dev = tuple(float(v) for v in text.split(","))
-    if len(dev) != 3:
-        raise ValueError(f"expected 3 values, got {len(dev)}")
-    return dev
 
 
 def _accepted_on(text: str) -> str | None:
@@ -520,17 +480,17 @@ def _accepted_on(text: str) -> str | None:
 
 
 def read_groundstate_archive(path) -> GroundStateResult:
-    """Read an archive; a malformed one raises ValueError naming the file and
-    the field.  An archive without a restarts line reads as 0 restarts, and
-    one without an accepted_on line (or an empty one) as accepted_on None."""
+    """Read an archive: the profile from its snapshot; omega, residual,
+    iterations and accepted_on (None when missing or empty) from its trailer,
+    whose other lines, such as the functionals and restarts older archives
+    stored, are ignored.  A malformed archive, or a profile of non-positive
+    action, raises ValueError naming the file (and the field)."""
     grid, comps, _, trailer = grids.read_snapshot_raw(path, return_trailer=True)
     head, _, model_part = trailer.partition("[model]")
-    spec = dict.fromkeys(("omega", "residual", "K", "Qcal", "P", "Q", "I", "J"), float)
-    spec.update(iterations=int, restarts=int, accepted_on=_accepted_on,
-                pohozaev_dev=_deviations)
+    spec = dict(omega=float, residual=float, iterations=int, accepted_on=_accepted_on)
     try:
         model = parse_model_lines(model_part.strip().splitlines())
-        kv = parse_fields(["restarts=0", "accepted_on="] + head.strip().splitlines(), spec)
+        kv = parse_fields(["accepted_on="] + head.strip().splitlines(), spec)
+        return GroundStateResult(model=model, grid=grid, profile=np.real(comps), **kv)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    return GroundStateResult(model=model, grid=grid, profile=np.real(comps), **kv)

@@ -171,8 +171,8 @@ def test_groundstate_archive_then_threshold(tmp_path):
     archive = out / "groundstate.qnls"
     assert archive.exists()
     solve = json.loads((out / "report.json").read_text())["solve"]
-    assert set(solve) == {"iterations", "restarts", "residual", "accepted_on"}
-    assert solve["iterations"] > 0 and solve["restarts"] == 0 and solve["residual"] < 1e-8
+    assert set(solve) == {"iterations", "residual", "accepted_on"}
+    assert solve["iterations"] > 0 and solve["residual"] < 1e-8
     assert solve["accepted_on"] in ("tolerance", "floor")
 
     out2 = tmp_path / "thr"
@@ -302,8 +302,7 @@ def test_scenarios_record_their_profile_solve(tmp_path, monkeypatch, argv):
     main(argv + ["--out", str(tmp_path)])
     [gs] = solves
     assert json.loads((tmp_path / "report.json").read_text())["solve"] == {
-        "iterations": gs.iterations, "restarts": gs.restarts, "residual": gs.residual,
-        "accepted_on": gs.accepted_on}
+        "iterations": gs.iterations, "residual": gs.residual, "accepted_on": gs.accepted_on}
 
 
 def test_blowup_n4_solves_each_grid_once(tmp_path, monkeypatch):

@@ -7,7 +7,8 @@ from qnls import functionals as fn
 from qnls import grids
 from qnls.grids import FieldState, GridSpec
 from qnls.groundstate import (PETVIASHVILI_DAMPING, PETVIASHVILI_LHS_REFRESH,
-                              PETVIASHVILI_TOL, ConvergenceError, amplified_initializer,
+                              PETVIASHVILI_TOL, ConvergenceError, GroundStateResult,
+                              amplified_initializer,
                               constrained_minimize, dilated_initializer,
                               elliptic_residual, lambda_star,
                               mass_preserving_dilation, modulated_distance,
@@ -66,22 +67,6 @@ class TestPetviashvili:
     def test_profile_positive_interior(self, gs_n3):
         interior = gs_n3.profile[:, : int(0.5 * gs_n3.grid.N)]
         assert np.all(interior > 0.0)
-
-    def test_null_direction_restart(self):
-        # an initial guess with a dead second component kills the pairing;
-        # the solver must recover through its tilted restarts
-        m = builtin_model("uv2", kappa=1.0)
-        g = GridSpec("cartesian", 1, 256, 25.0)
-        init = np.stack([np.exp(-g.axis() ** 2), np.zeros(g.N)])
-        result = petviashvili_solve(m, 1.0, g, init=init)
-        assert result.residual < 1e-8
-        assert result.restarts == 1
-
-    def test_zero_init_rejected(self):
-        m = builtin_model("uv2", kappa=1.0)
-        g = GridSpec("cartesian", 1, 256, 25.0)
-        with pytest.raises(ValueError):
-            petviashvili_solve(m, 1.0, g, init=np.zeros((2, 256)))
 
     def test_linear_model_diverges(self):
         from qnls.nonlinearity import CoefficientSet, ModelSpec
@@ -150,11 +135,21 @@ class TestPetviashvili:
 
     @pytest.mark.parametrize("name", ["shg3", "uv2", "cascade3"])
     def test_stalled_clip_raises(self, name):
-        # at h = 0.5 the clip stalls every tilt on the machine-converged
+        # at h = 0.5 the clip stalls the iteration on the machine-converged
         # branch with a direct residual of 7e-6 to 1.1e-4, above its 1e-6
-        # bound: each attempt must fail rather than return that residual
+        # bound: the solve must fail rather than return that residual
         with pytest.raises(ConvergenceError, match="stalled at residual"):
             petviashvili_solve(builtin_model(name), 1.0, GridSpec("cartesian", 2, 64, 16.0))
+
+    def test_failing_solve_makes_one_attempt(self, monkeypatch):
+        # the stalled solve above raises from its one run of the iteration
+        from qnls import groundstate
+        runs, iterate = [], groundstate._petviashvili_iterate
+        monkeypatch.setattr(groundstate, "_petviashvili_iterate",
+                            lambda *args: runs.append(1) or iterate(*args))
+        with pytest.raises(ConvergenceError, match="^stalled at residual"):
+            petviashvili_solve(builtin_model("shg3"), 1.0, GridSpec("cartesian", 2, 64, 16.0))
+        assert len(runs) == 1
 
     @pytest.mark.parametrize("name,N,R,iterations", [
         ("shg3", 64, 8.0, 77), ("uv2", 64, 8.0, 74),
@@ -299,9 +294,25 @@ class TestResolvent:
 
 class TestPohozaev:
     def test_nonpositive_action_rejected(self):
-        from qnls.groundstate import _pohozaev_deviations
-        with pytest.raises(ValueError):
-            _pohozaev_deviations(1.0, 1.0, 1.0, -0.5, 3)
+        # a tall Gaussian: its cubic interaction outweighs the quadratic terms
+        m = builtin_model("shg3")
+        g = GridSpec("radial", 3, 128, 10.0)
+        tall = 100.0 * np.stack([np.exp(-g.axis() ** 2)] * 3)
+        with pytest.raises(ValueError, match="non-positive action"):
+            GroundStateResult(m, g, 1.0, tall, residual=0.0, iterations=0)
+
+    def test_functionals_derived_from_the_profile(self, gs_n3):
+        # the functionals follow the profile and are no constructor argument
+        st = gs_n3.state
+        assert (gs_n3.K, gs_n3.Qcal) == (fn.kinetic(st), fn.weighted_mass(st, 1.0))
+        assert (gs_n3.P, gs_n3.Q) == (fn.interaction(st), fn.charge(st))
+        assert gs_n3.I == fn.action(st, 1.0)
+        # halving the profile scales K, Qcal, Q by 1/4 and P by 1/8, exactly
+        half = replace(gs_n3, profile=0.5 * gs_n3.profile)
+        assert (half.K, half.Qcal, half.Q, half.P) == \
+            (gs_n3.K / 4, gs_n3.Qcal / 4, gs_n3.Q / 4, gs_n3.P / 8)
+        with pytest.raises(TypeError):
+            GroundStateResult(gs_n3.model, gs_n3.grid, 1.0, gs_n3.profile, 0.0, 0, K=1.0)
 
 
 class TestWeinsteinInfimum:
@@ -401,7 +412,6 @@ class TestConstrainedMinimization:
         m, g, gs = cmin_setup
         r = constrained_minimize(m, gs.Q, g)
         assert r.lagrange_theta == pytest.approx(-1.0, abs=1e-6)
-        assert r.lagrange_omega == pytest.approx(1.0, abs=1e-6)
         assert modulated_distance(r.minimizer, gs.state, relative=False) < 1e-5
         assert r.I_nu == pytest.approx(gs.K - 2 * gs.P, rel=1e-9)
 
@@ -418,6 +428,32 @@ class TestConstrainedMinimization:
         assert r.lagrange_theta == pytest.approx(-1.0, abs=1e-6)
         assert modulated_distance(r.minimizer, gs.state, relative=False) < 1e-5
         assert r.I_nu == pytest.approx(gs.K - 2 * gs.P, rel=1e-9)
+
+    def test_one_resolvent_per_step_size(self, cmin_setup, monkeypatch):
+        # from a large first step the energy rises and tau halves several
+        # times; tau never returns, so each resolvent is built once, in turn
+        from qnls import groundstate
+        shifts, shifted_solver = [], grids.shifted_solver
+
+        def counted(grid, shift, scale):
+            shifts.append(float(shift[0]))  # beta = 0: the shift is 1/tau
+            return shifted_solver(grid, shift, scale)
+
+        monkeypatch.setattr(groundstate, "FLOW_TAU", 10.0)
+        monkeypatch.setattr(grids, "shifted_solver", counted)
+        m, g, _ = cmin_setup
+        constrained_minimize(m, 20.0, g)
+        assert len(shifts) > 3 and shifts[0] == 0.1
+        assert shifts == [0.1 * 2.0**k for k in range(len(shifts))]
+
+    def test_residual_is_the_elliptic_residual(self, cmin_setup):
+        # the Euler-Lagrange equation is the stationary system at
+        # b = beta - theta w, whose residual the flow stops on
+        m, g, _ = cmin_setup
+        r = constrained_minimize(m, 1.0, g)
+        phi = np.ascontiguousarray(r.minimizer.components.real)
+        b = m.coeffs.beta - r.lagrange_theta * m.coeffs.charge_weights
+        assert r.residual == elliptic_residual(m, g, phi, b)
 
     def test_charge_constraint_enforced(self, cmin_setup):
         m, g, _ = cmin_setup
@@ -483,13 +519,35 @@ class TestArchive:
         z = np.array([0.5, 0.25, 0.1], dtype=complex)
         assert np.allclose(back.model.eval_fk(z), gs_n3.model.eval_fk(z))
 
-    def test_restarts_round_trip(self, gs_n3, tmp_path):
+    def test_trailer_holds_the_solve_record(self, gs_n3, tmp_path):
         path = tmp_path / "gs.qnls"
-        write_groundstate_archive(replace(gs_n3, restarts=2), path)
-        assert read_groundstate_archive(path).restarts == 2
-        # an archive written before the restarts line existed reads as 0
-        path.write_bytes(path.read_bytes().replace(b"restarts=2\n", b""))
-        assert read_groundstate_archive(path).restarts == 0
+        write_groundstate_archive(gs_n3, path)
+        trailer = grids.read_snapshot_raw(path, return_trailer=True)[3]
+        head = trailer.partition("[model]")[0].split()
+        assert [line.partition("=")[0] for line in head] == \
+            ["omega", "residual", "iterations", "accepted_on"]
+
+    def test_earlier_format_reads_with_derived_functionals(self, gs_n3, tmp_path):
+        # the trailer of the earlier format also stored the functionals, the
+        # identity deviations and the restarts; here its K is wrong.  The
+        # reader ignores those lines and derives the functionals from the
+        # profile, bit-equal to the fresh solve's
+        from qnls.nonlinearity import model_lines
+        g, path = gs_n3, tmp_path / "gs.qnls"
+        grids.write_snapshot(g.state, path)
+        dev = ",".join(repr(d) for d in g.pohozaev_dev)
+        lines = ["", f"omega={g.omega!r}", f"I={g.I!r}", f"K={2.0 * g.K!r}",
+                 f"Qcal={g.Qcal!r}", f"P={g.P!r}", f"Q={g.Q!r}", f"J={g.J!r}",
+                 f"residual={g.residual!r}", f"iterations={g.iterations}", "restarts=0",
+                 f"accepted_on={g.accepted_on}", f"pohozaev_dev={dev}",
+                 "[model]"] + model_lines(g.model)
+        with open(path, "ab") as fh:
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+        back = read_groundstate_archive(path)
+        for name in ("K", "Qcal", "P", "Q", "I", "J", "pohozaev_dev"):
+            assert getattr(back, name) == getattr(g, name), name
+        assert (back.residual, back.iterations, back.accepted_on) == \
+            (g.residual, g.iterations, g.accepted_on)
 
     @pytest.mark.parametrize("branch", ["tolerance", "floor"])
     def test_accepted_on_round_trip(self, gs_n3, tmp_path, branch):
@@ -508,7 +566,7 @@ class TestArchive:
         with pytest.raises(ValueError, match="accepted_on='tol'"):
             read_groundstate_archive(path)
 
-    @pytest.mark.parametrize("line", [b"J=", b"iterations=", b"pohozaev_dev="])
+    @pytest.mark.parametrize("line", [b"iterations="])
     def test_missing_trailer_field(self, gs_n3, tmp_path, line):
         path = tmp_path / "gs.qnls"
         write_groundstate_archive(gs_n3, path)
