@@ -2,8 +2,8 @@
 
 Scenarios (subcommands) and what they measure:
 
-    validate     hypothesis checks H1-H8 plus the gauge/balance identities
-    groundstate  stationary profile, its structural identities, sharp constants
+    validate     hypothesis checks H3, H4, H6-H8 plus the balance identities
+    groundstate  stationary profile, its structural identities, the sharp quotient
     evolve       conservation of charge and energy along a run
     virial       second difference of the variance against its identity
     threshold    the global/blow-up classifier for data c * profile
@@ -21,16 +21,18 @@ pass.  A monitored evolution is recorded under ``"run"``: status, the monitor
 that fired, accepted and rejected steps, the final and the smallest dt and
 the detection time.  A profile solve (groundstate; threshold, blowup and
 stability unless read from ``--archive``) is recorded under ``"solve"``:
-iterations, residual and accepted_on.  A dimension outside a
-scenario's range, or threshold with beta != 0, is refused before any solve:
-one line on stderr, exit status 1.  ``QNLS_THREADS`` caps the linear-algebra
-thread pools; unset, they run one thread.
+iterations, residual and accepted_on, and blowup's N/2 solve at n = 4 under
+``"refinement_solve"``.  A dimension outside a scenario's range, threshold
+with beta != 0, or a grid whose working set exceeds physical memory is
+refused before any allocation: one line on stderr, exit status 1.
+``QNLS_THREADS`` caps the linear-algebra thread pools; unset, one thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -43,10 +45,14 @@ from .evolve import (EvolveConfig, pde_residual, pseudo_conformal_with_rate,
                      run_with_monitors, virial_check)
 from .grids import FieldState, GridSpec
 from .groundstate import (amplified_initializer, constrained_minimize, dilated_initializer,
-                          lambda_star, mass_preserving_dilation, modulated_distance,
-                          petviashvili_solve, read_groundstate_archive,
-                          write_groundstate_archive)
+                          mass_preserving_dilation, modulated_distance, petviashvili_solve,
+                          read_groundstate_archive, write_groundstate_archive)
 from .nonlinearity import builtin_model, read_model_file, validate_model
+
+# peak RSS above the imported package in complex stacks of the model's fields,
+# measured on shg3 at 512^2: evolve and virial 6.7, groundstate 3.1, stability
+# 7.8 (7.2 a stack from 256^2 on); scaling-law 3.2 at 256^2
+WORKING_SET_STACKS = 8
 
 
 @dataclass
@@ -72,6 +78,7 @@ class ExperimentReport:
     artifacts: list[str] = field(default_factory=list)
     run: dict | None = None  # EvolutionOutcome.as_json() of the scenario's monitored run
     solve: dict | None = None  # iterations, residual and accepted_on of a profile solve
+    refinement_solve: dict | None = None  # the same of blowup's N/2 solve at n = 4
 
     def check(self, name, measured, expected, tolerance, provenance="",
               compare="abs") -> bool:
@@ -103,8 +110,8 @@ class ExperimentReport:
                    "settings": {k: repr(v) for k, v in self.settings.items()},
                    "criteria": [c.as_json() for c in self.criteria],
                    "artifacts": self.artifacts}
-        payload.update({k: v for k, v in (("run", self.run), ("solve", self.solve))
-                        if v is not None})
+        records = ("run", "solve", "refinement_solve")
+        payload.update({k: getattr(self, k) for k in records if getattr(self, k) is not None})
         (outdir / "report.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -222,6 +229,19 @@ def _require_dim(n: int, dims: tuple[int, ...], scenario: str) -> None:
         raise SystemExit(f"{scenario} scenarios are defined for dim {', '.join(head)} and {last}")
 
 
+def _model_and_grid(st: Settings):
+    """The model and grid of the settings; a grid on which the model's working
+    set exceeds physical memory is refused: one line on stderr, exit status 1."""
+    model, grid = st.resolve_model(), st.resolve_grid()
+    need = WORKING_SET_STACKS * model.l * grid.size * np.dtype(complex).itemsize
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise SystemExit(f"a {grid.kind} grid of {grid.N}^{grid.n} points needs about "
+                         f"{need / 2**30:.3g} GiB, more than the {have / 2**30:.3g} GiB "
+                         "of physical memory")
+    return model, grid
+
+
 def _artifact(st: Settings, rep: ExperimentReport, name: str) -> Path:
     """The path of artifact name in the output directory (made), recorded in rep."""
     path = Path(st.out) / name
@@ -230,11 +250,11 @@ def _artifact(st: Settings, rep: ExperimentReport, name: str) -> Path:
     return path
 
 
-def _solve(rep: ExperimentReport, model, omega: float, grid: GridSpec):
-    """petviashvili_solve, its convergence record kept as rep.solve."""
+def _solve(rep: ExperimentReport, model, omega: float, grid: GridSpec, record="solve"):
+    """petviashvili_solve, its convergence record kept as rep.<record>."""
     gs = petviashvili_solve(model, omega, grid)
-    rep.solve = {"iterations": gs.iterations, "residual": gs.residual,
-                 "accepted_on": gs.accepted_on}
+    setattr(rep, record, {"iterations": gs.iterations, "residual": gs.residual,
+                          "accepted_on": gs.accepted_on})
     return gs
 
 
@@ -246,10 +266,10 @@ def _load_or_solve_groundstate(st: Settings, rep: ExperimentReport, dims: tuple[
     if st.archive and Path(st.archive).exists():
         gs = read_groundstate_archive(st.archive)
     _require_dim(st.dim if gs is None else gs.grid.n, dims, st.scenario)
-    model = st.resolve_model() if gs is None else gs.model
+    model, grid = _model_and_grid(st) if gs is None else (gs.model, gs.grid)
     if beta_zero and np.any(model.coeffs.beta):
         raise SystemExit(f"{st.scenario} scenarios are defined for beta = 0")
-    return _solve(rep, model, st.omega, st.resolve_grid()) if gs is None else gs
+    return _solve(rep, model, st.omega, grid) if gs is None else gs
 
 
 def _run(rep: ExperimentReport, state: FieldState, cfg: EvolveConfig,
@@ -262,7 +282,7 @@ def _run(rep: ExperimentReport, state: FieldState, cfg: EvolveConfig,
 
 def _gaussian_run(st: Settings, rep: ExperimentReport):
     """evolve's and virial's fixed-dt run from u_k = exp(-|x|^2)/(1+k): (state, outcome)."""
-    model, grid = st.resolve_model(), st.resolve_grid()
+    model, grid = _model_and_grid(st)
     comps = [a * np.exp(-grids.radius_sq(grid)) for a in 1.0 / (1.0 + np.arange(model.l))]
     state = FieldState(model, grid, np.stack(comps).astype(complex), 0.0)
     cfg = EvolveConfig(dt=st.dt, t_end=st.t_end, sample_every=st.sample_every)
@@ -293,18 +313,17 @@ def cmd_validate(st: Settings, rep: ExperimentReport) -> None:
 
 
 def cmd_groundstate(st: Settings, rep: ExperimentReport) -> None:
-    result = _solve(rep, st.resolve_model(), st.omega, st.resolve_grid())
+    model, grid = _model_and_grid(st)
+    result = _solve(rep, model, st.omega, grid)
     n = result.grid.n
     rep.check("residual", result.residual, 0.0, 1e-8, compare="le",
               provenance="stationary-system sup-norm residual")
-    for name, dev in zip(("P-2I", "K-nI", "Qcal-(6-n)I"), result.pohozaev_dev):
+    for name, dev in zip(("K-nI", "Qcal-(6-n)I"), result.pohozaev_dev[1:]):
         rep.check(f"identity {name}", dev, 0.0, st.tol, compare="le",
-                  provenance="structural identity, relative to I")
+                  provenance="structural identity, relative to I (P-2I is half their sum)")
     xi1 = fn.weinstein_infimum(result.Qcal, n)
     rep.check("J vs sharp-quotient formula", abs(result.J - xi1) / xi1, 0.0, 1e-3,
               compare="le", provenance="closed form from Qcal")
-    cop = fn.sharp_constant(result.Qcal, n)
-    rep.check("C_op * xi1", cop * xi1, 1.0, 1e-12, provenance="reciprocal by construction")
     write_groundstate_archive(result, _artifact(st, rep, "groundstate.qnls"))
 
 
@@ -336,8 +355,6 @@ def cmd_threshold(st: Settings, rep: ExperimentReport) -> None:
     if gs.grid.n == 5:
         rep.check("QE product ratio", report.QE / report.QE_gs, c**4 * (5 - 4 * c), 1e-2,
                   provenance="closed form via the structural identities")
-        rep.check("QK product ratio", report.QK / report.QK_gs, c**4, 1e-2,
-                  provenance="closed form via the structural identities")
     expected = "global" if c < 1 else "blowup" if gs.grid.n == 5 else "indeterminate"
     rep.check(f"classification is {expected}",
               float(report.classification == expected), 1.0, 0.0)
@@ -348,21 +365,16 @@ def cmd_blowup(st: Settings, rep: ExperimentReport) -> None:
     if gs.grid.n == 4:
         T = st.T
         samples = [0.0, 0.25 * T, 0.5 * T, 0.75 * T, 0.9 * T]
-        states = [pseudo_conformal_with_rate(gs.state, T, t)[0] for t in samples]
-        Qs = [fn.charge(s) for s in states]
-        Ks = [fn.kinetic(s) * (T - t) ** 2 for s, t in zip(states, samples)]
-        rep.check("charge constancy", max(abs(q - Qs[0]) for q in Qs) / Qs[0], 0.0, 1e-8,
-                  compare="le", provenance="explicit self-similar family")
+        Ks = [fn.kinetic(pseudo_conformal_with_rate(gs.state, T, t)[0]) * (T - t) ** 2
+              for t in samples]
         rep.check("kinetic (T-t)^2 constancy", max(abs(k - Ks[0]) for k in Ks) / Ks[0],
-                  0.0, 1e-6, compare="le")
-        res = {}
-        for N in (gs.grid.N // 2, gs.grid.N):
-            gsN = gs if (N, st.omega) == (gs.grid.N, gs.omega) else petviashvili_solve(
-                gs.model, st.omega, GridSpec(gs.grid.kind, 4, N, gs.grid.extent))
-            state, rate = pseudo_conformal_with_rate(gsN.state, T, 0.5 * T)
-            res[N] = float(np.max(pde_residual(state, rate)))
-        rep.check("closed-form residual refinement order",
-                  np.log2(res[gs.grid.N // 2] / res[gs.grid.N]), 2.0, 0.5,
+                  0.0, 1e-6, compare="le", provenance="explicit self-similar family")
+        coarse = _solve(rep, gs.model, gs.omega,
+                        GridSpec(gs.grid.kind, 4, gs.grid.N // 2, gs.grid.extent),
+                        record="refinement_solve")
+        res = [float(np.max(pde_residual(*pseudo_conformal_with_rate(g.state, T, 0.5 * T))))
+               for g in (coarse, gs)]
+        rep.check("closed-form residual refinement order", np.log2(res[0] / res[1]), 2.0, 0.5,
                   provenance="log2 of the residual ratio under N doubling")
     else:
         data = FieldState(gs.model, gs.grid, st.amplitude * gs.profile.astype(complex), 0.0)
@@ -393,15 +405,8 @@ def cmd_stability(st: Settings, rep: ExperimentReport) -> None:
                   provenance="relative L2, modulo translation and coupled phase")
     elif n == 4:
         for eps in (0.05, st.eps):
-            data, predicted = amplified_initializer(gs.state, eps)
-            measured = fn.energy(data)
-            # the gap is exactly (1+eps)^2 (K - 2P): pure identity error,
-            # independent of eps
-            scale = (1 + eps) ** 2 * max(abs(gs.K - 2 * gs.P), 1e-300)
-            rep.check(f"energy of amplified datum eps={eps}",
-                      abs(measured - predicted) / scale, 0.0, 1.5, compare="le",
-                      provenance="gap over the structural-identity deviation")
-            rep.check(f"amplified energy negative eps={eps}", measured, 0.0, 0.0,
+            data, _ = amplified_initializer(gs.state, eps)
+            rep.check(f"amplified energy negative eps={eps}", fn.energy(data), 0.0, 0.0,
                       compare="le")
     elif n == 5:
         for lam in (st.lam, 2.0):
@@ -410,7 +415,6 @@ def cmd_stability(st: Settings, rep: ExperimentReport) -> None:
             predicted = lam**2 * (1 - np.sqrt(lam)) * gs.K
             rep.check(f"dilation functional lam={lam}",
                       abs(measured - predicted) / abs(predicted), 0.0, 1e-3, compare="le")
-        rep.check("lambda_star of the profile", lambda_star(gs.state), 1.0, 1e-3)
         data = dilated_initializer(gs.state, st.lam)
         out = _run(rep, data, _collapse_config(st), with_variance=False)
         rep.check("dilated datum blows up", float(out.status == "blown_up"), 1.0, 0.0)
@@ -418,7 +422,7 @@ def cmd_stability(st: Settings, rep: ExperimentReport) -> None:
 
 def cmd_scaling_law(st: Settings, rep: ExperimentReport) -> None:
     _require_dim(st.dim, (1, 2, 3), st.scenario)
-    model, grid = st.resolve_model(), st.resolve_grid()
+    model, grid = _model_and_grid(st)
     nu = st.nu if st.nu is not None else 1.0
     r1 = constrained_minimize(model, nu, grid)
     r2 = constrained_minimize(model, 2 * nu, grid)

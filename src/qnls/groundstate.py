@@ -19,7 +19,9 @@ spectrum of T's linearization M^{-1} J at a profile (M = -gamma Lap + b,
 J the Jacobian of f_k; the analysis of Pelinovsky & Stepanyants 2004,
 SIAM J. Numer. Anal. 42:1110).  Computed densely for shg3, cascade3 and
 uv2, that spectrum is 2 on psi itself, which S removes; 1 on the
-translations of Cartesian grids; -1, to rounding, on the gauge mode, the
+translations of Cartesian grids and, for shg3 at chi = 1 on both grid
+kinds, on the (z_2, z_3) rotation, a symmetry of its F (not of cascade3's
+or uv2's); -1, to rounding, on the gauge mode, the
 relative amplitude between components; and otherwise inside
 [-0.6, mu_2], the slowest mode mu_2 rising with the dimension on radial
 grids from 0.61 (n = 1) through 0.66 (n = 2) to 0.86 (n = 5).  Mixing maps
@@ -409,7 +411,8 @@ def _best_phase(sigma: np.ndarray, c: np.ndarray, period: float) -> float:
 def modulated_distance(state: FieldState, reference: FieldState,
                        relative: bool = True) -> float:
     """L2 distance to the reference profile minimized over translations (1-d
-    Cartesian grids) and the coupled phase action e^{i sigma_k theta}."""
+    Cartesian grids) and the coupled phase action e^{i sigma_k theta}, not
+    over the (z_2, z_3) rotation of shg3 at chi = 1."""
     if state.grid != reference.grid:
         raise ValueError("states must share one grid")
     grid = state.grid

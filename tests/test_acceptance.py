@@ -63,7 +63,7 @@ def test_criterion_01_hypothesis_validators():
     terms = (Term(0.5, (1, 1, 1), (0, 0, 0)), Term(0.5, (0, 0, 0), (1, 1, 1)))
     bad = ModelSpec(coeffs=CoefficientSet(alpha=np.ones(3), gamma=np.ones(3),
                                           beta=np.zeros(3)), terms=terms)
-    gauge_dev = validate_model(bad, seed=0).checks["gauge"].deviation
+    gauge_dev = validate_model(bad, seed=0).checks["H4"].deviation
     elapsed = time.perf_counter() - t0
     ok = (all(p and d < 1e-10 for p, d in devs.values())
           and gauge_dev > 0.1 and elapsed < 1.0)

@@ -372,11 +372,11 @@ class TestIdentities:
 class TestGauge:
     @pytest.mark.parametrize("name", ["shg3", "cascade3", "uv2"])
     def test_builtins_pass(self, name):
-        assert validate_model(builtin_model(name)).checks["gauge"].deviation < 1e-12
+        assert validate_model(builtin_model(name)).checks["H4"].deviation < 1e-12
 
     def test_counterexample_fails(self):
         m = counterexample_phase()
-        assert validate_model(m).checks["gauge"].deviation > 0.1
+        assert validate_model(m).checks["H4"].deviation > 0.1
         # analytic witness: theta = pi/3 at z = (1,1,1) flips Re F entirely
         theta = np.pi / 3.0
         z = np.ones(3, dtype=complex)
@@ -384,10 +384,10 @@ class TestGauge:
         assert abs(np.real(m.eval_F(w)) - np.real(m.eval_F(z))) == pytest.approx(2.0)
 
     def test_zero_potential(self):
-        assert validate_model(model_of()).checks["gauge"].deviation == 0.0
+        assert validate_model(model_of()).checks["H4"].deviation == 0.0
 
     def test_uv2_off_resonance_fails(self):
-        assert validate_model(builtin_model("uv2", kappa=1.0)).checks["gauge"].deviation > 0.1
+        assert validate_model(builtin_model("uv2", kappa=1.0)).checks["H4"].deviation > 0.1
 
 
 class TestRealCone:
@@ -436,9 +436,7 @@ class TestValidateModel:
 
     def test_counterexample_flagged(self):
         rep = validate_model(counterexample_phase())
-        assert not rep.checks["gauge"].passed
         assert not rep.checks["H4"].passed
-        assert rep.checks["H5"].passed  # still homogeneous
 
 
 @st.composite
